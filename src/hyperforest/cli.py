@@ -51,7 +51,7 @@ from .errors import (
     InvalidStructureError,
     ParameterRangeError,
 )
-from .forest import RootedForest, validate_forest
+from .forest import Hyperedge, RootedForest, validate_forest
 from .oracle import (
     DEFAULT_BUDGET,
     audit_hypercycles,
@@ -232,89 +232,60 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _hypercycle_vertex_count(b: int, s: int) -> int:
+    """s*(b-1): excess 0 leaves one vertex fewer than a hypertree on s edges."""
+    return ForestShape(b=b, s=s, k=0).n - 1
+
+
 def _cmd_count(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if kind == "forests":
-        if args.k is None:
-            raise _UsageError("count --kind forests requires --k")
-        value = count_forests(args.b, args.s, args.k)
-        doc = {
-            "kind": kind,
-            "b": args.b,
-            "s": args.s,
-            "k": args.k,
-            "n": args.s * (args.b - 1) + args.k + 1,
-            "count": str(value),
-        }
-    elif kind == "hypertrees":
-        value = count_rooted_hypertrees(args.b, args.s)
-        doc = {
-            "kind": kind,
-            "b": args.b,
-            "s": args.s,
-            "n": args.s * (args.b - 1) + 1,
-            "count": str(value),
-        }
-    elif kind == "hypercycles":
-        value = count_hypercycles(args.b, args.s, args.form)
-        doc = {
-            "kind": kind,
-            "b": args.b,
-            "s": args.s,
-            "n": args.s * (args.b - 1),
-            "form": args.form,
-            "count": str(value),
-        }
+    # the count function and the document keys between "kind" and "count";
+    # every key but "n" is a flag that the function takes by the same name
+    count, keys = {
+        "forests": (count_forests, ("b", "s", "k", "n")),
+        "hypertrees": (count_rooted_hypertrees, ("b", "s", "n")),
+        "hypercycles": (count_hypercycles, ("b", "s", "n", "form")),
+        "hypercycle-class": (hypercycle_class_count, ("b", "s", "n", "j")),
+    }[args.kind]
+    params = {key: getattr(args, key) for key in keys if key != "n"}
+    for key, value in params.items():
+        if value is None:
+            raise _UsageError(f"count --kind {args.kind} requires --{key}")
+    value = count(**params)
+    if args.kind.startswith("hypercycle"):
+        params["n"] = _hypercycle_vertex_count(args.b, args.s)
     else:
-        if args.j is None:
-            raise _UsageError("count --kind hypercycle-class requires --j")
-        value = hypercycle_class_count(args.b, args.s, args.j)
-        doc = {
-            "kind": kind,
-            "b": args.b,
-            "s": args.s,
-            "n": args.s * (args.b - 1),
-            "j": args.j,
-            "count": str(value),
-        }
-    _print_document(doc)
+        params["n"] = ForestShape(b=args.b, s=args.s, k=params.get("k", 0)).n
+    _print_document(
+        {"kind": args.kind, **{key: params[key] for key in keys}, "count": str(value)}
+    )
     return 0
+
+
+def _hypercycle_to_document(edges: tuple[Hyperedge, ...]) -> dict[str, Any]:
+    b = len(edges[0])
+    return {
+        "n": _hypercycle_vertex_count(b, len(edges)),
+        "b": b,
+        "edges": [list(e) for e in edges],
+    }
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     budget = _budget()
-    kind = args.kind
+    # the oracle, the flag it takes after b and s, and the document of each item
+    enumerate_kind, flag, to_document = {
+        "forests": (enumerate_forests, "k", forest_to_document),
+        "codes": (enumerate_code_space, "k", code_to_document),
+        "hypercycles": (enumerate_hypercycles, "multiset", _hypercycle_to_document),
+    }[args.kind]
+    value = getattr(args, flag)
+    if value is None:
+        raise _UsageError(f"enumerate --kind {args.kind} requires --{flag}")
     total = 0
-    if kind == "forests":
-        if args.k is None:
-            raise _UsageError("enumerate --kind forests requires --k")
-        for forest in enumerate_forests(args.b, args.s, args.k, budget):
-            _print_line(forest_to_document(forest))
-            total += 1
-        summary = {"kind": kind, "b": args.b, "s": args.s, "k": args.k}
-    elif kind == "codes":
-        if args.k is None:
-            raise _UsageError("enumerate --kind codes requires --k")
-        for code in enumerate_code_space(args.b, args.s, args.k, budget):
-            _print_line(code_to_document(code))
-            total += 1
-        summary = {"kind": kind, "b": args.b, "s": args.s, "k": args.k}
-    else:
-        for edges in enumerate_hypercycles(args.b, args.s, args.multiset, budget):
-            _print_line(
-                {
-                    "n": args.s * (args.b - 1),
-                    "b": args.b,
-                    "edges": [list(e) for e in edges],
-                }
-            )
-            total += 1
-        summary = {
-            "kind": kind,
-            "b": args.b,
-            "s": args.s,
-            "multiset": bool(args.multiset),
-        }
+    for item in enumerate_kind(args.b, args.s, value, budget):
+        _print_line(to_document(item))
+        total += 1
+    summary = {"kind": args.kind, "b": args.b, "s": args.s, flag: value}
     summary["count"] = str(total)
     _print_line({"summary": summary})
     return 0

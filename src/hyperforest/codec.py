@@ -41,6 +41,20 @@ from .forest import (
 Block = tuple[VertexId, ...]
 
 
+def check_shape(b: int, s: int, k: int = 0, min_s: int = 0) -> None:
+    """Raise ParameterRangeError unless b >= 2, s >= min_s and k >= 0.
+
+    The one home of the shape ranges: every entry point that takes b, s or
+    k checks them here, passing the smallest edge count it accepts.
+    """
+    if b < 2:
+        raise ParameterRangeError(f"edge size b={b} must be at least 2")
+    if s < min_s:
+        raise ParameterRangeError(f"edge count s={s} must be at least {min_s}")
+    if k < 0:
+        raise ParameterRangeError(f"tree parameter k={k} must be at least 0")
+
+
 @dataclass(frozen=True)
 class ForestShape:
     """Shape parameters of a forest: edge size b, edge count s, k+1 trees.
@@ -54,12 +68,7 @@ class ForestShape:
     k: int
 
     def __post_init__(self) -> None:
-        if self.b < 2:
-            raise ParameterRangeError(f"edge size b={self.b} must be at least 2")
-        if self.s < 0:
-            raise ParameterRangeError(f"edge count s={self.s} must be at least 0")
-        if self.k < 0:
-            raise ParameterRangeError(f"tree parameter k={self.k} must be at least 0")
+        check_shape(self.b, self.s, self.k)
 
     @property
     def n(self) -> int:
@@ -136,7 +145,9 @@ def validate_code(code: ForestCode) -> ValidationReport:
     root_set = set(roots)
     if seen & root_set:
         violations.append("a root label appears inside a block")
-    elif not overlap and seen != set(range(1, n + 1)) - root_set:
+    elif not overlap and len(seen) != n - sum(1 for r in root_set if 1 <= r <= n):
+        # seen holds distinct in-range non-root labels, so it covers every
+        # non-root label exactly when it has as many members as there are
         violations.append("blocks do not cover every non-root label exactly once")
 
     expected_links = max(s - 1, 0)

@@ -31,6 +31,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Literal, NamedTuple
 
+from .codec import check_shape
 from .errors import InvariantViolation, ParameterRangeError
 
 HypercycleForm = Literal["closed", "sum"]
@@ -52,12 +53,7 @@ def count_forests(b: int, s: int, k: int) -> int:
     vertices.  For s = 0 the only forest is the one whose k+1 vertices are
     all isolated roots, and the formula reduces to 1 as well.
     """
-    if b < 2:
-        raise ParameterRangeError(f"edge size b={b} must be at least 2")
-    if s < 0:
-        raise ParameterRangeError(f"edge count s={s} must be at least 0")
-    if k < 0:
-        raise ParameterRangeError(f"tree parameter k={k} must be at least 0")
+    check_shape(b, s, k)
     if s == 0:
         return 1
     n = s * (b - 1) + k + 1
@@ -73,10 +69,7 @@ def count_rooted_hypertrees(b: int, s: int) -> int:
     Evaluates (n-1)! * n^s / (s! * (b-1)!^s) on n = s*(b-1) + 1 vertices.
     At b = 2 this is Cayley's n^(n-1) count of rooted labelled trees.
     """
-    if b < 2:
-        raise ParameterRangeError(f"edge size b={b} must be at least 2")
-    if s < 1:
-        raise ParameterRangeError(f"edge count s={s} must be at least 1")
+    check_shape(b, s, min_s=1)
     n = s * (b - 1) + 1
     value = Fraction(factorial(n - 1) * n ** s, factorial(s) * factorial(b - 1) ** s)
     return _as_count(value, f"hypertree count for b={b}, s={s}")
@@ -86,30 +79,35 @@ def count_hypercycles(b: int, s: int, form: HypercycleForm = "closed") -> int:
     """Number of labelled b-uniform hypercycles with s edges, two ways.
 
     A hypercycle is a connected b-uniform hypergraph of excess 0 on
-    n = s*(b-1) vertices.  The two forms share only their statement: the
-    closed form multiplies the prefactor by 1/(s*(s-2)!), the sum form by
-    sum(j / (s^j * (s-j)!) for j in 2..s).  They are computed independently
-    so their agreement stays a meaningful check.
+    n = s*(b-1) vertices.  The two forms share the prefactor and differ in
+    the factor that multiplies it: 1/(s*(s-2)!) in the closed form,
+    sum(j / (s^j * (s-j)!) for j in 2..s) in the sum form.  The two factors
+    are computed independently so their agreement stays a meaningful check.
     """
-    if b < 2:
-        raise ParameterRangeError(f"edge size b={b} must be at least 2")
-    if s < 2:
-        raise ParameterRangeError(f"edge count s={s} must be at least 2")
+    check_shape(b, s, min_s=2)
+    factor = _hypercycle_factor(s, form)
     n = s * (b - 1)
+    prefactor = Fraction(
+        (b - 1) * factorial(n) * n ** (s - 1), 2 * factorial(b - 1) ** s
+    )
+    return _as_count(
+        prefactor * factor, f"hypercycle count for b={b}, s={s}, form={form}"
+    )
+
+
+def _hypercycle_factor(s: int, form: HypercycleForm) -> Fraction:
+    """The hypercycle count's factor after the prefactor, in either form.
+
+    Closed: 1/(s*(s-2)!).  Sum: sum(j / (s^j * (s-j)!) for j in 2..s).
+    """
     if form == "closed":
-        value = Fraction(
-            (b - 1) * factorial(n) * n ** (s - 1), 2 * factorial(b - 1) ** s
-        ) * Fraction(1, s * factorial(s - 2))
-    elif form == "sum":
+        return Fraction(1, s * factorial(s - 2))
+    if form == "sum":
         total = Fraction(0)
         for j in range(2, s + 1):
             total += Fraction(j, s ** j * factorial(s - j))
-        value = Fraction(
-            (b - 1) * factorial(n) * n ** (s - 1), 2 * factorial(b - 1) ** s
-        ) * total
-    else:
-        raise ParameterRangeError(f"unknown hypercycle form {form!r}")
-    return _as_count(value, f"hypercycle count for b={b}, s={s}, form={form}")
+        return total
+    raise ParameterRangeError(f"unknown hypercycle form {form!r}")
 
 
 def hypercycle_class_count(b: int, s: int, j: int) -> int:
@@ -119,10 +117,7 @@ def hypercycle_class_count(b: int, s: int, j: int) -> int:
     C(n, j*(b-1)) * j*(b-1) * ((s-j)*(b-1))! / ((s-j)! * (b-1)!^(s-j))
     times (1/2) * (j*(b-1))! / (b-2)!^j, for 2 <= j <= s.
     """
-    if b < 2:
-        raise ParameterRangeError(f"edge size b={b} must be at least 2")
-    if s < 2:
-        raise ParameterRangeError(f"edge count s={s} must be at least 2")
+    check_shape(b, s, min_s=2)
     if j < 2 or j > s:
         raise ParameterRangeError(f"cycle length j={j} must lie in 2..{s}")
     n = s * (b - 1)
@@ -148,13 +143,12 @@ class CycleSumIdentity(NamedTuple):
 def cycle_sum_identity(s: int) -> CycleSumIdentity:
     """Evaluate sum(j / (s^j * (s-j)!) for j in 2..s) against 1 / (s * (s-2)!).
 
-    The two sides are equal for every s >= 2; the result carries both exact
-    rationals so callers can verify rather than trust.
+    These are the sum-form and closed-form factors of
+    :func:`count_hypercycles`.  The two sides are equal for every s >= 2;
+    the result carries both exact rationals so callers can verify rather
+    than trust.
     """
-    if s < 2:
-        raise ParameterRangeError(f"identity requires s >= 2, got s={s}")
-    lhs = Fraction(0)
-    for j in range(2, s + 1):
-        lhs += Fraction(j, s ** j * factorial(s - j))
-    rhs = Fraction(1, s * factorial(s - 2))
+    check_shape(b=2, s=s, min_s=2)  # the identity has no edge size
+    lhs = _hypercycle_factor(s, "sum")
+    rhs = _hypercycle_factor(s, "closed")
     return CycleSumIdentity(lhs, rhs, lhs == rhs)

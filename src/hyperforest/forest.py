@@ -146,6 +146,41 @@ def _union_find_components(n: int, edges: tuple[Hyperedge, ...]) -> list[int]:
     return [find(v) for v in range(n + 1)]
 
 
+def _group_components(
+    n: int, edges: tuple[Hyperedge, ...], roots: Iterable[VertexId]
+) -> list[tuple[list[VertexId], list[Hyperedge], int, int]]:
+    """Each component's vertices, edges, excess and number of roots.
+
+    Components come in order of their smallest vertex: vertices are grouped
+    in ascending order, so dict insertion order is already that order.
+    Roots are counted once each, and labels outside 1..n are not counted.
+    """
+    rep = _union_find_components(n, edges)
+    vertices: dict[int, list[VertexId]] = {}
+    for v in range(1, n + 1):
+        r = rep[v]
+        if r in vertices:
+            vertices[r].append(v)
+        else:
+            vertices[r] = [v]
+    edges_of: dict[int, list[Hyperedge]] = {r: [] for r in vertices}
+    for e in edges:
+        edges_of[rep[e[0]]].append(e)
+    root_count = dict.fromkeys(vertices, 0)
+    for v in set(roots):
+        if 1 <= v <= n:
+            root_count[rep[v]] += 1
+    return [
+        (
+            verts,
+            edges_of[r],
+            sum(len(e) - 1 for e in edges_of[r]) - len(verts),
+            root_count[r],
+        )
+        for r, verts in vertices.items()
+    ]
+
+
 def component_decomposition(forest: RootedForest) -> ComponentReport:
     """Split a forest into connected components with excess and root counts.
 
@@ -161,25 +196,14 @@ def component_decomposition(forest: RootedForest) -> ComponentReport:
     if problems:
         raise InvalidStructureError("malformed hyperedge: " + "; ".join(problems))
 
-    rep = _union_find_components(n, edges)
-    root_set = set(forest.roots)
-    vertices_by_rep: dict[int, list[int]] = {}
-    for v in range(1, n + 1):
-        vertices_by_rep.setdefault(rep[v], []).append(v)
-    edges_by_rep: dict[int, list[Hyperedge]] = {}
-    for e in edges:
-        edges_by_rep.setdefault(rep[e[0]], []).append(e)
-
-    components = []
-    for r in sorted(vertices_by_rep, key=lambda r: vertices_by_rep[r][0]):
-        verts = vertices_by_rep[r]
-        comp_edges = tuple(edges_by_rep.get(r, ()))
-        excess = sum(len(e) - 1 for e in comp_edges) - len(verts)
-        root_count = sum(1 for v in verts if v in root_set)
-        components.append(
-            Component(tuple(verts), comp_edges, excess, root_count)
+    return ComponentReport(
+        tuple(
+            Component(tuple(verts), tuple(comp_edges), excess, root_count)
+            for verts, comp_edges, excess, root_count in _group_components(
+                n, edges, forest.roots
+            )
         )
-    return ComponentReport(tuple(components))
+    )
 
 
 def validate_forest(forest: RootedForest) -> ValidationReport:
@@ -216,30 +240,15 @@ def validate_forest(forest: RootedForest) -> ValidationReport:
             f"vertex count n={n} differs from s(b-1)+k+1={s * (b - 1) + k + 1}"
         )
 
-    rep = _union_find_components(n, edges)
-    excess: dict[int, int] = {}
-    root_count: dict[int, int] = {}
-    min_vertex: dict[int, int] = {}
-    for v in range(1, n + 1):
-        r = rep[v]
-        excess[r] = excess.get(r, 0) - 1
-        if r not in min_vertex:
-            min_vertex[r] = v
-    for e in edges:
-        excess[rep[e[0]]] += len(e) - 1
-    for v in roots:
-        r = rep[v]
-        root_count[r] = root_count.get(r, 0) + 1
-    for r in sorted(excess, key=min_vertex.get):
-        if excess[r] != -1:
+    for verts, _, excess, c in _group_components(n, edges, roots):
+        if excess != -1:
             violations.append(
-                f"component containing vertex {min_vertex[r]} has excess "
-                f"{excess[r]}, expected -1"
+                f"component containing vertex {verts[0]} has excess "
+                f"{excess}, expected -1"
             )
-        c = root_count.get(r, 0)
         if c != 1:
             violations.append(
-                f"component containing vertex {min_vertex[r]} has {c} roots, "
+                f"component containing vertex {verts[0]} has {c} roots, "
                 f"expected exactly 1"
             )
 

@@ -13,9 +13,9 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb
 from typing import Iterator
 
-from .codec import Block, ForestCode, ForestShape
+from .codec import Block, ForestCode, ForestShape, check_shape
 from .counting import count_forests, count_hypercycles, hypercycle_class_count
-from .errors import BudgetExceededError, ParameterRangeError
+from .errors import BudgetExceededError
 from .forest import Hyperedge, RootedForest, _union_find_components
 
 DEFAULT_BUDGET = 10_000_000
@@ -132,13 +132,8 @@ def enumerate_hypercycles(
     multiset mode (allow_repeated_edges) also draws repeated edges, counted
     with multiplicity.  Edge tuples are yielded in lexicographic order.
     """
-    if b < 2:
-        raise ParameterRangeError(f"edge size b={b} must be at least 2")
-    if s < 2:
-        raise ParameterRangeError(f"edge count s={s} must be at least 2")
+    check_shape(b, s, min_s=2)
     n = s * (b - 1)
-    if b > n:
-        raise ParameterRangeError(f"edge size b={b} exceeds vertex count n={n}")
     edge_count = comb(n, b)
     if allow_repeated_edges:
         candidates = comb(edge_count + s - 1, s)

@@ -27,7 +27,7 @@ s! * ((b-1)!)^s shuffle outcomes, so the decoded forest is uniform.
 from __future__ import annotations
 
 import random
-from math import comb
+from math import comb, prod
 
 from .codec import Block, ForestCode, ForestShape, decode_code, ensure_valid_code
 from .errors import ParameterRangeError
@@ -113,26 +113,34 @@ def _partition_rank(blocks: tuple[Block, ...], pool: tuple[int, ...], block_size
     return rank
 
 
+def _code_radices(shape: ForestShape) -> tuple[int, int, int, int]:
+    """Radices of the four code parts: roots, final root, partition, links.
+
+    For s = 0 the last three are 1.
+    """
+    b, s, k, n = shape.b, shape.s, shape.k, shape.n
+    roots = comb(n, k + 1)
+    if s == 0:
+        return roots, 1, 1, 1
+    partitions = 1
+    for radix in _partition_radices(n - k - 1, b - 1):
+        partitions *= radix
+    return roots, k + 1, partitions, n ** (s - 1)
+
+
 def code_space_size(shape: ForestShape) -> int:
     """Number of codes of the shape: the product of the four radices.
 
     Always equals count_forests(b, s, k); computed from the radices here so
     tests can compare the two routes.
     """
-    b, s, k, n = shape.b, shape.s, shape.k, shape.n
-    size = comb(n, k + 1)
-    if s >= 1:
-        size *= k + 1
-        radices = _partition_radices(n - k - 1, b - 1)
-        for radix in radices:
-            size *= radix
-        size *= n ** (s - 1)
-    return size
+    return prod(_code_radices(shape))
 
 
 def unrank_code(index: int, shape: ForestShape) -> ForestCode:
     """The index-th code of the shape in canonical order."""
-    total = code_space_size(shape)
+    radices = _code_radices(shape)
+    total = prod(radices)
     if index < 0 or index >= total:
         raise ParameterRangeError(
             f"index {index} outside 0..{total - 1} for shape "
@@ -145,12 +153,8 @@ def unrank_code(index: int, shape: ForestShape) -> ForestCode:
         roots = _combination_unrank(index, labels, k + 1)
         return ForestCode(shape, roots, None, (), ())
 
-    partition_total = 1
-    for radix in _partition_radices(n - k - 1, b - 1):
-        partition_total *= radix
-    link_total = n ** (s - 1)
-
-    root_index, rest = divmod(index, (k + 1) * partition_total * link_total)
+    _, final_total, partition_total, link_total = radices
+    root_index, rest = divmod(index, final_total * partition_total * link_total)
     final_index, rest = divmod(rest, partition_total * link_total)
     partition_index, link_index = divmod(rest, link_total)
 
@@ -171,7 +175,7 @@ def rank_code(code: ForestCode) -> int:
     """Canonical-order index of a valid code; inverse of unrank_code."""
     ensure_valid_code(code)
     shape = code.shape
-    b, s, k, n = shape.b, shape.s, shape.k, shape.n
+    b, s, n = shape.b, shape.s, shape.n
     labels = list(range(1, n + 1))
     root_index = _combination_rank(code.roots, labels)
     if s == 0:
@@ -181,17 +185,15 @@ def rank_code(code: ForestCode) -> int:
     root_set = set(code.roots)
     pool = tuple(v for v in labels if v not in root_set)
     partition_index = _partition_rank(code.blocks, pool, b - 1)
-    partition_total = 1
-    for radix in _partition_radices(n - k - 1, b - 1):
-        partition_total *= radix
     link_index = 0
     for v in code.links:
         link_index = link_index * n + (v - 1)
 
+    _, final_total, partition_total, link_total = _code_radices(shape)
     rank = root_index
-    rank = rank * (k + 1) + final_index
+    rank = rank * final_total + final_index
     rank = rank * partition_total + partition_index
-    rank = rank * n ** (s - 1) + link_index
+    rank = rank * link_total + link_index
     return rank
 
 

@@ -41,6 +41,16 @@ SWEEP_SHAPES = tuple(
 )
 
 
+def range_message(b: int, s: int, k: int = 0, min_s: int = 0) -> str:
+    """The message every entry point gives for the first of b, s, k out of
+    range, where min_s is the smallest edge count that entry point accepts."""
+    if b < 2:
+        return f"edge size b={b} must be at least 2"
+    if s < min_s:
+        return f"edge count s={s} must be at least {min_s}"
+    return f"tree parameter k={k} must be at least 0"
+
+
 @pytest.fixture
 def worked_forest() -> RootedForest:
     return RootedForest(n=22, b=3, edges=WORKED_EDGES, roots=WORKED_ROOTS)

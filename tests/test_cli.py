@@ -188,6 +188,42 @@ class TestCount:
         assert doc["count"] == expected
         assert isinstance(doc["count"], str)
 
+    @pytest.mark.parametrize(
+        "argv,keys",
+        [
+            (
+                ["--kind", "forests", "--b", "3", "--s", "9", "--k", "3"],
+                '"kind": "forests",\n  "b": 3,\n  "s": 9,\n  "k": 3,\n  "n": 22,\n'
+                '  "count": "55330398076865079168000"',
+            ),
+            (
+                ["--kind", "hypertrees", "--b", "2", "--s", "3"],
+                '"kind": "hypertrees",\n  "b": 2,\n  "s": 3,\n  "n": 4,\n'
+                '  "count": "64"',
+            ),
+            (
+                ["--kind", "hypercycles", "--b", "3", "--s", "2"],
+                '"kind": "hypercycles",\n  "b": 3,\n  "s": 2,\n  "n": 4,\n'
+                '  "form": "closed",\n  "count": "12"',
+            ),
+            (
+                ["--kind", "hypercycles", "--b", "3", "--s", "3", "--form", "sum"],
+                '"kind": "hypercycles",\n  "b": 3,\n  "s": 3,\n  "n": 6,\n'
+                '  "form": "sum",\n  "count": "1080"',
+            ),
+            (
+                ["--kind", "hypercycle-class", "--b", "3", "--s", "2", "--j", "2"],
+                '"kind": "hypercycle-class",\n  "b": 3,\n  "s": 2,\n  "n": 4,\n'
+                '  "j": 2,\n  "count": "48"',
+            ),
+        ],
+    )
+    def test_count_documents_are_byte_exact(self, capsys, argv, keys):
+        # key order is part of the output contract, not only the values
+        status, out, _ = run_cli(capsys, ["count"] + argv)
+        assert status == 0
+        assert out == "{\n  " + keys + "\n}\n"
+
     def test_count_reports_n(self, capsys):
         status, out, _ = run_cli(
             capsys, ["count", "--kind", "forests", "--b", "3", "--s", "9", "--k", "3"]
@@ -259,6 +295,53 @@ class TestEnumerate:
         docs = [json.loads(line) for line in out.strip().splitlines()]
         assert docs[-1]["summary"]["count"] == "7"
         assert docs[-1]["summary"]["multiset"] is True
+
+    @pytest.mark.parametrize(
+        "argv,lines",
+        [
+            (
+                ["--kind", "forests", "--b", "2", "--s", "1", "--k", "0"],
+                [
+                    '{"n":2,"b":2,"edges":[[1,2]],"roots":[1]}',
+                    '{"n":2,"b":2,"edges":[[1,2]],"roots":[2]}',
+                    '{"summary":{"kind":"forests","b":2,"s":1,"k":0,"count":"2"}}',
+                ],
+            ),
+            (
+                ["--kind", "codes", "--b", "2", "--s", "1", "--k", "0"],
+                [
+                    '{"b":2,"s":1,"k":0,"R":[1],"r":1,"P":[[2]],"N":[]}',
+                    '{"b":2,"s":1,"k":0,"R":[2],"r":2,"P":[[1]],"N":[]}',
+                    '{"summary":{"kind":"codes","b":2,"s":1,"k":0,"count":"2"}}',
+                ],
+            ),
+            (
+                ["--kind", "hypercycles", "--b", "3", "--s", "2"],
+                [
+                    '{"n":4,"b":3,"edges":[[1,2,3],[1,2,4]]}',
+                    '{"n":4,"b":3,"edges":[[1,2,3],[1,3,4]]}',
+                    '{"n":4,"b":3,"edges":[[1,2,3],[2,3,4]]}',
+                    '{"n":4,"b":3,"edges":[[1,2,4],[1,3,4]]}',
+                    '{"n":4,"b":3,"edges":[[1,2,4],[2,3,4]]}',
+                    '{"n":4,"b":3,"edges":[[1,3,4],[2,3,4]]}',
+                    '{"summary":{"kind":"hypercycles","b":3,"s":2,'
+                    '"multiset":false,"count":"6"}}',
+                ],
+            ),
+            (
+                ["--kind", "hypercycles", "--b", "2", "--s", "2", "--multiset"],
+                [
+                    '{"n":2,"b":2,"edges":[[1,2],[1,2]]}',
+                    '{"summary":{"kind":"hypercycles","b":2,"s":2,'
+                    '"multiset":true,"count":"1"}}',
+                ],
+            ),
+        ],
+    )
+    def test_output_is_byte_exact(self, capsys, argv, lines):
+        status, out, _ = run_cli(capsys, ["enumerate"] + argv)
+        assert status == 0
+        assert out == "".join(line + "\n" for line in lines)
 
     def test_budget_env_refusal(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERFOREST_BUDGET", "2")
@@ -405,6 +488,33 @@ class TestUsageAndErrors:
         status, _, err = run_cli(capsys, ["count", "--kind", "forests", "--b", "3"])
         assert status == 2
         assert json.loads(err)["error"] == "usage"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (
+                ["count", "--kind", "forests", "--b", "3", "--s", "2"],
+                "count --kind forests requires --k",
+            ),
+            (
+                ["count", "--kind", "hypercycle-class", "--b", "3", "--s", "2"],
+                "count --kind hypercycle-class requires --j",
+            ),
+            (
+                ["enumerate", "--kind", "forests", "--b", "2", "--s", "1"],
+                "enumerate --kind forests requires --k",
+            ),
+            (
+                ["enumerate", "--kind", "codes", "--b", "2", "--s", "1"],
+                "enumerate --kind codes requires --k",
+            ),
+        ],
+    )
+    def test_kind_specific_flag_missing(self, capsys, argv, message):
+        status, out, err = run_cli(capsys, argv)
+        assert status == 2
+        assert out == ""
+        assert err == '{"error":"usage","message":"' + message + '"}\n'
 
     def test_missing_input_file(self, capsys, tmp_path):
         status, _, err = run_cli(

@@ -2,6 +2,7 @@
 and the encode/decode pair on worked examples and exhaustive small sweeps."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -23,6 +24,7 @@ from tests.conftest import (
     WORKED_FINAL_ROOT,
     WORKED_LINKS,
     WORKED_ROOTS,
+    range_message,
 )
 
 
@@ -34,11 +36,12 @@ class TestForestShape:
 
     @pytest.mark.parametrize(
         "b,s,k",
-        [(1, 2, 0), (0, 1, 1), (2, -1, 0), (2, 1, -1)],
+        [(1, 2, 0), (0, 1, 1), (2, -1, 0), (2, 1, -1), (1, -1, -1), (2, -1, -1)],
     )
     def test_rejects_bad_parameters(self, b, s, k):
-        with pytest.raises(ParameterRangeError):
+        with pytest.raises(ParameterRangeError) as info:
             ForestShape(b=b, s=s, k=k)
+        assert str(info.value) == range_message(b, s, k)
 
     def test_edge_size_may_exceed_n_when_no_edges_exist(self):
         # with s=0 there are no edges, so b never has to fit inside n;
@@ -103,6 +106,20 @@ class TestValidateCode:
         )
         report = validate_code(code)
         assert any("absent" in v for v in report.violations)
+
+    def test_memory_follows_the_document_not_the_declared_size(self):
+        # b = 10**6 declares a million labels; the document holds two
+        code = ForestCode(ForestShape(b=10**6, s=1, k=0), (1,), 1, ((2,),), ())
+        tracemalloc.start()
+        try:
+            report = validate_code(code)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "blocks do not cover every non-root label exactly once" in (
+            report.violations
+        )
+        assert peak < 4 * 2**20
 
     def test_link_out_of_range(self):
         code = ForestCode(

@@ -19,6 +19,7 @@ from hyperforest import (
     cycle_sum_identity,
     hypercycle_class_count,
 )
+from tests.conftest import range_message
 
 
 class TestCountForests:
@@ -53,10 +54,13 @@ class TestCountForests:
             for s in range(1, 13):
                 assert count_forests(b, s, 0) == count_rooted_hypertrees(b, s)
 
-    @pytest.mark.parametrize("b,s,k", [(1, 2, 0), (2, -1, 0), (2, 2, -1)])
+    @pytest.mark.parametrize(
+        "b,s,k", [(1, 2, 0), (2, -1, 0), (2, 2, -1), (1, -1, -1), (2, -1, -1)]
+    )
     def test_rejects_bad_parameters(self, b, s, k):
-        with pytest.raises(ParameterRangeError):
+        with pytest.raises(ParameterRangeError) as info:
             count_forests(b, s, k)
+        assert str(info.value) == range_message(b, s, k)
 
     def test_rational_form_agrees(self):
         # recompute from the definition with Fraction to guard the int fast path
@@ -84,8 +88,15 @@ class TestCountRootedHypertrees:
         assert count_rooted_hypertrees(b, s) == expected
 
     def test_rejects_zero_edges(self):
-        with pytest.raises(ParameterRangeError):
+        with pytest.raises(ParameterRangeError) as info:
             count_rooted_hypertrees(2, 0)
+        assert str(info.value) == range_message(2, 0, min_s=1)
+
+    @pytest.mark.parametrize("b,s", [(1, 1), (0, 0), (2, -1)])
+    def test_rejects_bad_parameters(self, b, s):
+        with pytest.raises(ParameterRangeError) as info:
+            count_rooted_hypertrees(b, s)
+        assert str(info.value) == range_message(b, s, min_s=1)
 
 
 class TestCountHypercycles:
@@ -107,10 +118,11 @@ class TestCountHypercycles:
         with pytest.raises(ParameterRangeError):
             count_hypercycles(3, 2, "open")
 
-    @pytest.mark.parametrize("b,s", [(1, 3), (2, 1), (2, 0)])
+    @pytest.mark.parametrize("b,s", [(1, 3), (2, 1), (2, 0), (1, 1)])
     def test_rejects_bad_parameters(self, b, s):
-        with pytest.raises(ParameterRangeError):
+        with pytest.raises(ParameterRangeError) as info:
             count_hypercycles(b, s)
+        assert str(info.value) == range_message(b, s, min_s=2)
 
 
 class TestHypercycleClassCount:
@@ -135,8 +147,15 @@ class TestHypercycleClassCount:
             hypercycle_class_count(3, 4, j)
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(ParameterRangeError):
+        with pytest.raises(ParameterRangeError) as info:
             hypercycle_class_count(1, 4, 2)
+        assert str(info.value) == range_message(1, 4, min_s=2)
+
+    @pytest.mark.parametrize("b,s", [(2, 1), (1, 1)])
+    def test_rejects_bad_edge_count(self, b, s):
+        with pytest.raises(ParameterRangeError) as info:
+            hypercycle_class_count(b, s, 2)
+        assert str(info.value) == range_message(b, s, min_s=2)
 
 
 class TestCycleSumIdentity:
@@ -159,8 +178,10 @@ class TestCycleSumIdentity:
             )
 
     def test_rejects_small_s(self):
-        with pytest.raises(ParameterRangeError):
-            cycle_sum_identity(1)
+        for s in (1, 0, -1):
+            with pytest.raises(ParameterRangeError) as info:
+                cycle_sum_identity(s)
+            assert str(info.value) == range_message(2, s, min_s=2)
 
 
 class TestCrossFormulaConsistency:

@@ -14,6 +14,7 @@ import pytest
 from hyperforest import (
     AuditReport,
     BudgetExceededError,
+    ParameterRangeError,
     audit_hypercycles,
     count_forests,
     enumerate_code_space,
@@ -23,6 +24,7 @@ from hyperforest import (
     validate_code,
     validate_forest,
 )
+from tests.conftest import range_message
 
 
 class TestEnumerateForests:
@@ -125,6 +127,23 @@ class TestEnumerateHypercycles:
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceededError):
             enumerate_hypercycles(2, 9)
+
+
+class TestShapeParameters:
+    @pytest.mark.parametrize(
+        "enumerate_shape", [enumerate_forests, enumerate_code_space]
+    )
+    @pytest.mark.parametrize("b,s,k", [(1, 2, 0), (2, -1, 0), (2, 2, -1)])
+    def test_forest_enumerators_reject_bad_parameters(self, enumerate_shape, b, s, k):
+        with pytest.raises(ParameterRangeError) as info:
+            enumerate_shape(b, s, k)
+        assert str(info.value) == range_message(b, s, k)
+
+    @pytest.mark.parametrize("b,s", [(1, 3), (2, 1), (2, 0), (1, 1)])
+    def test_hypercycle_enumerator_rejects_bad_parameters(self, b, s):
+        with pytest.raises(ParameterRangeError) as info:
+            enumerate_hypercycles(b, s)
+        assert str(info.value) == range_message(b, s, min_s=2)
 
 
 class TestAuditHypercycles:

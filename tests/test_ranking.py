@@ -151,6 +151,62 @@ class TestSampling:
         assert len(seen) == 9
 
 
+class TestGoldenDraws:
+    """Pinned draws: the sampling contract fixes the stream for every seed,
+    so these values change only if the contract does."""
+
+    @pytest.mark.parametrize(
+        "b,s,k,seed,roots,final_root,blocks,links",
+        [
+            (3, 4, 1, 0, (7, 8), 7, ((1, 9), (2, 3), (4, 6), (5, 10)), (10, 4, 9)),
+            (
+                2, 5, 0, (1 << 64) - 1,
+                (1,), 1, ((2,), (3,), (4,), (5,), (6,)), (3, 6, 6, 6),
+            ),
+            (
+                4, 3, 2, 20260816,
+                (8, 9, 10), 9, ((1, 5, 6), (2, 3, 4), (7, 11, 12)), (8, 6),
+            ),
+        ],
+    )
+    def test_sample_code(self, b, s, k, seed, roots, final_root, blocks, links):
+        shape = ForestShape(b=b, s=s, k=k)
+        assert sample_code(shape, seed) == ForestCode(
+            shape, roots, final_root, blocks, links
+        )
+
+    @pytest.mark.parametrize(
+        "b,s,k,seed,draws",
+        [
+            (
+                3, 4, 1, 0,
+                [
+                    (((1, 7, 9), (2, 3, 10), (4, 5, 10), (4, 6, 9)), (7, 8)),
+                    (((1, 3, 8), (2, 4, 9), (2, 6, 7), (5, 8, 10)), (3, 6)),
+                ],
+            ),
+            (
+                2, 5, 0, (1 << 64) - 1,
+                [
+                    (((1, 6), (2, 3), (3, 6), (4, 6), (5, 6)), (1,)),
+                    (((1, 3), (2, 3), (3, 4), (3, 6), (4, 5)), (1,)),
+                ],
+            ),
+            (
+                4, 3, 2, 20260816,
+                [
+                    (((1, 5, 6, 9), (2, 3, 4, 8), (6, 7, 11, 12)), (8, 9, 10)),
+                    (((1, 3, 7, 11), (2, 3, 9, 10), (2, 4, 5, 12)), (1, 6, 8)),
+                ],
+            ),
+        ],
+    )
+    def test_sample_forests(self, b, s, k, seed, draws):
+        shape = ForestShape(b=b, s=s, k=k)
+        got = [(f.edges, f.roots) for f in sample_forests(shape, seed, 2)]
+        assert got == draws
+
+
 class TestGenerateIds:
     def test_full_space_is_distinct(self):
         shape = ForestShape(b=2, s=2, k=0)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import NoReturn
 
 from .errors import InvalidStructureError, InvariantViolation, ParameterRangeError
 from .forest import (
@@ -35,6 +36,7 @@ from .forest import (
     RootedForest,
     ValidationReport,
     VertexId,
+    _leaf_scan,
     ensure_valid,
 )
 
@@ -169,6 +171,12 @@ def ensure_valid_code(code: ForestCode) -> None:
         raise InvalidStructureError("invalid code: " + "; ".join(report.violations))
 
 
+def _reject(forest: RootedForest) -> NoReturn:
+    """Raise validate_forest's report for a forest the pruning refused."""
+    ensure_valid(forest)
+    raise InvariantViolation("pruning refused a forest that validates")
+
+
 def encode_forest(forest: RootedForest) -> ForestCode:
     """Encode a valid forest as its 4-tuple code.
 
@@ -178,82 +186,64 @@ def encode_forest(forest: RootedForest) -> ForestCode:
     each round at O(b + log s): an edge enters the heap exactly once, when
     the count of its anchor vertices (roots or vertices with more than one
     incident edge) first drops to one.
+
+    The pruning is the validity check: once the arithmetic below holds, a
+    pruning of all s edges proves the forest valid, as each pruned edge brings
+    b-1 fresh labels and one anchor, so the reversed pruning builds one rooted
+    hypertree per root.  Failures raise with :func:`validate_forest`'s report.
     """
-    ensure_valid(forest)
     n, b, edges, roots = forest.n, forest.b, forest.edges, forest.roots
-    s = len(edges)
-    shape = ForestShape(b=b, s=s, k=len(roots) - 1)
-
-    if s == 0:
-        return ForestCode(shape, roots, None, (), ())
-
-    # live_edge_sum[v] holds the sum of the ids of live edges containing v;
-    # when only one live edge is left at v, the sum names that edge directly.
-    incidence = [0] * (n + 1)
-    live_edge_sum = [0] * (n + 1)
-    for i, e in enumerate(edges):
-        for v in e:
-            incidence[v] += 1
-            live_edge_sum[v] += i
-    is_root = bytearray(n + 1)
-    for r in roots:
-        is_root[r] = 1
-
-    # heap entries are key * s + edge_id so comparisons stay single-int
-    anchors = [0] * s
-    heap: list[int] = []
-    for i, e in enumerate(edges):
-        c = 0
-        key = 0
-        for v in e:
-            if is_root[v] or incidence[v] > 1:
-                c += 1
-            elif not key:
-                key = v
-        anchors[i] = c
-        if c == 1:
-            heap.append(key * s + i)
-    heapq.heapify(heap)
-    heappush, heappop = heapq.heappush, heapq.heappop
+    s, k = len(edges), len(roots) - 1
+    # roots and edges are sorted, so their first labels are the smallest
+    if (
+        b < 2 or not roots or roots[0] < 1 or len(set(roots)) != k + 1
+        or n != s * (b - 1) + k + 1
+        or (s and (set(map(len, edges)) != {b} or edges[0][0] < 1))
+    ):
+        _reject(forest)
 
     removal_blocks: list[Block] = []
     links: list[VertexId] = []
     record_block = removal_blocks.append
     record_link = links.append
-    for _ in range(s):
-        if not heap:
-            raise InvariantViolation(
-                "pruning found no leaf block in a validated forest"
-            )
-        i = heappop(heap) % s
-        link = -1
-        block = []
-        for v in edges[i]:
-            if is_root[v] or incidence[v] > 1:
-                link = v
-            else:
-                block.append(v)
-                incidence[v] = 0
-        record_link(link)
-        record_block(tuple(block))
-        incidence[link] -= 1
-        live_edge_sum[link] -= i
-        if incidence[link] == 1 and not is_root[link]:
-            j = live_edge_sum[link]
-            anchors[j] -= 1
-            if anchors[j] == 1:
-                key = 0
-                for u in edges[j]:
-                    if not is_root[u] and incidence[u] == 1:
-                        key = u
-                        break
-                heappush(heap, key * s + j)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    try:
+        incidence, live_edge_sum, is_root, anchors, heap = _leaf_scan(n, edges, roots)
+        heapq.heapify(heap)
+        for _ in range(s):
+            i = heappop(heap) % s
+            link = -1
+            block = []
+            for v in edges[i]:
+                if is_root[v] or incidence[v] > 1:
+                    link = v
+                else:
+                    block.append(v)
+            if link < 0:
+                _reject(forest)
+            record_link(link)
+            record_block(tuple(block))
+            incidence[link] -= 1
+            live_edge_sum[link] -= i
+            if incidence[link] == 1 and not is_root[link]:
+                j = live_edge_sum[link]  # the one live edge left at link
+                anchors[j] -= 1
+                if anchors[j] == 1:
+                    key = 0
+                    for u in edges[j]:
+                        if not is_root[u] and incidence[u] == 1:
+                            key = u
+                            break
+                    heappush(heap, key * s + j)
+    except IndexError:  # a label above n, or an empty heap before round s
+        _reject(forest)
 
+    shape = ForestShape(b=b, s=s, k=k)
+    if s == 0:
+        return ForestCode(shape, roots, None, (), ())
     final_root = links.pop()
     if not is_root[final_root]:
-        raise InvariantViolation(
-            f"last pruned link {final_root} is not a root"
-        )
+        _reject(forest)
     return ForestCode(shape, roots, final_root, tuple(removal_blocks), tuple(links))
 
 
@@ -276,7 +266,7 @@ def decode_code(code: ForestCode) -> RootedForest:
     roots = code.roots
 
     if s == 0:
-        return decoded_forest(n, b, [], roots)
+        return RootedForest(n=n, b=b, edges=(), roots=roots)
 
     blocks, links = code.blocks, code.links
     occurrences = [0] * (n + 1)
@@ -311,7 +301,7 @@ def decode_code(code: ForestCode) -> RootedForest:
             )
         j = heappop(heap) % s
         v = links[t]
-        record_edge(tuple(sorted(blocks[j] + (v,))))
+        record_edge(blocks[j] + (v,))
         occurrences[v] -= 1
         if occurrences[v] == 0:
             bj = block_of[v]
@@ -323,17 +313,8 @@ def decode_code(code: ForestCode) -> RootedForest:
     if not heap:
         raise InvariantViolation("the final block is not ready")
     j = heappop(heap) % s
-    record_edge(tuple(sorted(blocks[j] + (code.final_root,))))
+    record_edge(blocks[j] + (code.final_root,))
     if heap:
         raise InvariantViolation("more than one block left after decoding")
 
-    return decoded_forest(n, b, edges, roots)
-
-
-def decoded_forest(
-    n: int, b: int, edges: list[Hyperedge], roots: tuple[VertexId, ...]
-) -> RootedForest:
-    """Build the decoder's output forest and mark it as known valid."""
-    forest = RootedForest(n=n, b=b, edges=tuple(edges), roots=roots)
-    object.__setattr__(forest, "_known_valid", True)
-    return forest
+    return RootedForest(n=n, b=b, edges=edges, roots=roots)

@@ -8,8 +8,8 @@ its excess is -1, and a forest is a hypergraph all of whose components are
 hypertrees.  With s hyperedges and k+1 components the vertex count satisfies
 n = s*(b-1) + k + 1.
 
-All values are immutable and hash/compare structurally, so they are safe to
-share across threads.
+All values are immutable, nothing writes to them after construction, and
+they hash/compare structurally, so they are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class RootedForest:
     Duplicate hyperedges are rejected outright.  Every other invariant
     (uniform edge size, labels in range, component excess -1, exactly one
     root per component) is checked by :func:`validate_forest`, so invalid
-    values can be constructed, inspected, and reported on.
+    values can be constructed, inspected, reported on, and never altered.
     """
 
     n: int
@@ -49,7 +49,6 @@ class RootedForest:
                 )
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "roots", tuple(sorted(self.roots)))
-        object.__setattr__(self, "_known_valid", False)
 
     @property
     def s(self) -> int:
@@ -266,21 +265,49 @@ def validate_forest(forest: RootedForest) -> ValidationReport:
                 else:
                     seen_pairs.add(key)
 
-    valid = not violations
-    if valid:
-        object.__setattr__(forest, "_known_valid", True)
-    return ValidationReport(valid, tuple(violations), s, k)
+    return ValidationReport(not violations, tuple(violations), s, k)
 
 
 def ensure_valid(forest: RootedForest) -> None:
     """Raise InvalidStructureError unless the forest validates cleanly."""
-    if getattr(forest, "_known_valid", False):
-        return
     report = validate_forest(forest)
     if not report.valid:
         raise InvalidStructureError(
             "invalid forest: " + "; ".join(report.violations)
         )
+
+
+def _leaf_scan(n: int, edges: tuple[Hyperedge, ...], roots: tuple[VertexId, ...]) -> tuple:
+    """The encoder's initial leaf scan: per vertex the incidence, the sum of
+    the ids of its edges and a root flag; per edge the count of anchors (roots,
+    vertices in several edges); and the one-anchor edges as key * s + edge id,
+    key their smallest non-anchor label.  A label above n raises IndexError.
+    """
+    s = len(edges)
+    incidence = [0] * (n + 1)
+    live_edge_sum = [0] * (n + 1)
+    for i, e in enumerate(edges):
+        for v in e:
+            incidence[v] += 1
+            live_edge_sum[v] += i
+    is_root = bytearray(n + 1)
+    for r in roots:
+        is_root[r] = 1
+
+    anchors = [0] * s
+    leaves: list[int] = []
+    for i, e in enumerate(edges):
+        c = 0
+        key = 0
+        for v in e:
+            if is_root[v] or incidence[v] > 1:
+                c += 1
+            elif not key:
+                key = v
+        anchors[i] = c
+        if c == 1:
+            leaves.append(key * s + i)
+    return incidence, live_edge_sum, is_root, anchors, leaves
 
 
 def leaf_blocks(forest: RootedForest) -> list[LeafBlock]:
@@ -292,20 +319,10 @@ def leaf_blocks(forest: RootedForest) -> list[LeafBlock]:
     because block members lie in a single edge each.
     """
     ensure_valid(forest)
-    n = forest.n
-    incidence = [0] * (n + 1)
-    for e in forest.edges:
-        for v in e:
-            incidence[v] += 1
-    is_root = [False] * (n + 1)
-    for r in forest.roots:
-        is_root[r] = True
-
+    incidence, _, is_root, _, leaves = _leaf_scan(forest.n, forest.edges, forest.roots)
     found = []
-    for e in forest.edges:
-        block = [v for v in e if incidence[v] == 1 and not is_root[v]]
-        if len(block) == len(e) - 1:
-            link = next(v for v in e if incidence[v] > 1 or is_root[v])
-            found.append(LeafBlock(tuple(block), link, e))
-    found.sort(key=lambda lb: lb.block[0])
+    for entry in sorted(leaves):
+        e = forest.edges[entry % forest.s]
+        link = next(v for v in e if is_root[v] or incidence[v] > 1)
+        found.append(LeafBlock(tuple(v for v in e if v != link), link, e))
     return found

@@ -2,9 +2,12 @@
 and the encode/decode pair on worked examples and exhaustive small sweeps."""
 
 import dataclasses
+import itertools
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperforest import (
     ForestCode,
@@ -15,7 +18,9 @@ from hyperforest import (
     decode_code,
     encode_forest,
     enumerate_forests,
+    leaf_blocks,
     validate_code,
+    validate_forest,
 )
 from tests.conftest import (
     SWEEP_SHAPES,
@@ -231,3 +236,104 @@ class TestRoundTrip:
             total += 1
         # distinct forests map to distinct codes
         assert len(seen) == total
+
+
+def assert_encode_agrees_with_validate(forest) -> bool:
+    """encode_forest refuses exactly the forests validate_forest reports as
+    invalid, with the report as its message, and round-trips the rest.
+    Returns whether the forest is valid."""
+    report = validate_forest(forest)
+    if report.valid:
+        assert decode_code(encode_forest(forest)) == forest
+        return True
+    with pytest.raises(InvalidStructureError) as info:
+        encode_forest(forest)
+    assert str(info.value) == "invalid forest: " + "; ".join(report.violations)
+    return False
+
+
+@st.composite
+def malformed_forests(draw):
+    """Forests of any size with labels just outside 1..n, repeats, edges of
+    the wrong size and duplicate or missing roots."""
+    n = draw(st.integers(-1, 8))
+    b = draw(st.integers(0, 4))
+    label = st.integers(-1, max(n, 0) + 1)
+    edge = st.one_of(
+        st.lists(label, min_size=b, max_size=b),
+        st.lists(label, max_size=5),
+    ).map(lambda e: tuple(sorted(e)))
+    edges = draw(st.lists(edge, max_size=5, unique=True))
+    roots = draw(st.lists(label, max_size=4))
+    return RootedForest(n=n, b=b, edges=edges, roots=tuple(roots))
+
+
+class TestEncodeChecksItsInput:
+    def test_agrees_with_validate_on_every_small_hypergraph(self):
+        checked = valid = 0
+        for b in (2, 3):
+            for n in range(1, 6):
+                candidates = list(itertools.combinations(range(1, n + 1), b))
+                for s in range(0, 4):
+                    for edges in itertools.combinations(candidates, s):
+                        for size in range(0, 4):
+                            for roots in itertools.combinations(range(1, n + 1), size):
+                                forest = RootedForest(n=n, b=b, edges=edges, roots=roots)
+                                valid += assert_encode_agrees_with_validate(forest)
+                                checked += 1
+        assert (checked, valid) == (10103, 917)
+
+    @settings(max_examples=400, deadline=None)
+    @given(malformed_forests())
+    def test_agrees_with_validate_on_malformed_forests(self, forest):
+        assert_encode_agrees_with_validate(forest)
+
+    @pytest.mark.parametrize(
+        "n,b,edges,roots",
+        [
+            pytest.param(5, 3, [(1, 2, 3, 4), (4, 5)], (1,), id="mixed-edge-sizes"),
+            pytest.param(3, 2, [(0, 1), (1, 2)], (1,), id="edge-label-0"),
+            pytest.param(3, 2, [(-1, 1), (1, 2)], (1,), id="edge-label-minus-1"),
+            pytest.param(3, 2, [(1, 2), (2, 3)], (0,), id="root-0"),
+            pytest.param(3, 2, [(1, 2), (2, 3)], (-1,), id="root-minus-1"),
+            pytest.param(3, 2, [(1, 2), (2, 4)], (1,), id="edge-label-n-plus-1"),
+            pytest.param(3, 2, [(1, 2), (2, 3)], (4,), id="root-n-plus-1"),
+            pytest.param(3, 3, [(1, 1, 2)], (3,), id="repeated-label-in-edge"),
+            pytest.param(3, 2, [(1, 2)], (1, 1), id="duplicate-roots"),
+            pytest.param(3, 2, [(1, 2)], (1, 2), id="isolated-non-root-vertex"),
+            pytest.param(
+                6, 2, [(1, 2), (1, 3), (4, 6), (5, 6)], (4, 5),
+                id="leaf-loses-its-anchor",
+            ),
+        ],
+    )
+    def test_named_malformed_forest(self, n, b, edges, roots):
+        forest = RootedForest(n=n, b=b, edges=edges, roots=roots)
+        assert not assert_encode_agrees_with_validate(forest)
+
+
+class TestPurity:
+    """No function writes to the values it is given."""
+
+    @staticmethod
+    def assert_unchanged(call, value):
+        before = dict(vars(value))
+        try:
+            call(value)
+        except InvalidStructureError:
+            pass
+        assert vars(value) == before
+
+    @pytest.mark.parametrize("call", [validate_forest, encode_forest, leaf_blocks])
+    def test_forest_functions(self, call, worked_forest):
+        broken = RootedForest(n=22, b=3, edges=WORKED_EDGES, roots=(5, 9, 16))
+        for forest in (worked_forest, broken):
+            self.assert_unchanged(call, forest)
+
+    def test_decode(self, worked_code):
+        broken = dataclasses.replace(worked_code, links=WORKED_LINKS[:7])
+        for code in (worked_code, broken):
+            self.assert_unchanged(decode_code, code)
+
+    def test_forests_from_decode_are_plain_values(self, worked_code, worked_forest):
+        assert vars(decode_code(worked_code)) == vars(worked_forest)

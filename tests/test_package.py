@@ -1,6 +1,12 @@
-"""The package's public surface: the names it exports stay exported."""
+"""The package's public surface: the names it exports stay exported, and
+its values carry no state beyond what their constructors set."""
+
+import ast
+from pathlib import Path
 
 import hyperforest
+
+SOURCES = sorted(Path(hyperforest.__file__).parent.glob("*.py"))
 
 PUBLIC_NAMES = [
     "AuditReport",
@@ -53,3 +59,45 @@ def test_all_is_unchanged():
 def test_every_exported_name_resolves():
     for name in hyperforest.__all__:
         assert getattr(hyperforest, name) is not None
+
+
+def _setattr_callers(tree: ast.AST) -> list[str]:
+    """Names of the functions that call object.__setattr__ (<module> if none)."""
+    callers = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__setattr__"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "object"
+        ):
+            callers.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, "<module>")
+    return callers
+
+
+def test_frozen_values_are_written_only_while_constructed():
+    assert SOURCES
+    for path in SOURCES:
+        callers = _setattr_callers(ast.parse(path.read_text(encoding="utf-8")))
+        assert set(callers) <= {"__post_init__"}, (path.name, callers)
+
+
+def test_no_validity_flag_rides_on_values():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = {
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                getattr(node, "arg", None),
+                getattr(node, "name", None),
+                node.value if isinstance(node, ast.Constant) else None,
+            }
+            assert "_known_valid" not in names, (path.name, ast.dump(node))

@@ -90,12 +90,17 @@ def _fail(code: str, message: str) -> None:
 
 
 def _load_json(path: str | None) -> Any:
-    if path is None or path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    return json.loads(text)
+    try:
+        if path is None or path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise _DocumentError(f"input is not valid JSON: {exc}") from None
+    except (RecursionError, ValueError) as exc:  # nesting, digit limit, bad UTF-8
+        raise _DocumentError(f"input cannot be read as JSON: {exc}") from None
 
 
 def _require(doc: Any, key: str, kind: type, what: str) -> Any:
@@ -455,9 +460,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except _DocumentError as exc:
         _fail("invalid-document", str(exc))
-        return 1
-    except json.JSONDecodeError as exc:
-        _fail("invalid-document", f"input is not valid JSON: {exc}")
         return 1
     except InvalidStructureError as exc:
         _fail("invalid-structure", str(exc))

@@ -1,16 +1,20 @@
 """Ranking, unranking, uniform sampling, and unique-ID streams for codes.
 
-Every code of a shape gets a distinct index in 0..count-1 through a mixed
-radix over the code's four parts, most significant first:
+Every code of a shape gets a distinct index in 0..count-1: the code read as
+one mixed-radix numeral.  Its digits, most significant first, are
 
-1. the roots, as the lexicographic rank of a (k+1)-combination of 1..n,
-2. the final root, as its position within the ascending roots,
-3. the block partition, ranked by repeatedly taking the block holding the
-   smallest unassigned label and ranking its remaining b-2 members in the
-   combinatorial number system over the unassigned pool,
-4. the links, read as an s-1 digit base-n numeral, most significant first.
+1. the roots, as the lexicographic rank of a (k+1)-combination of 1..n
+   (radix comb(n, k+1));
+2. the final root, as its position within the ascending roots (radix k+1);
+3. one digit per block of the partition, in canonical order: the block
+   holding the smallest of the `left` unassigned labels, its other b-2
+   members ranked among the left-1 others (radix comb(left-1, b-2));
+4. the s-1 links, each as its label minus one (radix n).
 
-For s = 0 the final root, partition, and links all contribute radix 1.
+That makes 2s+1 digits, or the roots' digit alone when s = 0.  Combination
+digits are closed-form in the combinatorial number system (Knuth, TAOCP 4A
+7.2.1.3): positions c_0 < ... < c_{r-1} of a pool of L labels have
+lexicographic rank comb(L, r) - 1 - sum_i comb(L-1-c_i, r-i).
 
 Sampling contract: draws are generated by CPython's Mersenne Twister
 (random.Random) seeded directly with the 64-bit seed.  Uniform integers
@@ -27,173 +31,136 @@ s! * ((b-1)!)^s shuffle outcomes, so the decoded forest is uniform.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
+from collections import Counter
 from math import comb, prod
 
-from .codec import Block, ForestCode, ForestShape, decode_code, ensure_valid_code
+from .codec import ForestCode, ForestShape, decode_code, ensure_valid_code
 from .errors import ParameterRangeError
 from .forest import RootedForest
 
 _SEED_LIMIT = 1 << 64
 
 
-def _combination_unrank(index: int, pool: list[int], size: int) -> tuple[int, ...]:
-    """The index-th size-subset of pool in lexicographic order."""
-    chosen = []
-    offset = 0
-    remaining = size
-    while remaining > 0:
-        for position in range(offset, len(pool)):
-            below = comb(len(pool) - position - 1, remaining - 1)
-            if index < below:
-                chosen.append(pool[position])
-                offset = position + 1
-                remaining -= 1
-                break
-            index -= below
-    return tuple(chosen)
+def _combination_rank(positions: list[int], pool_size: int) -> int:
+    """Lexicographic rank of ascending positions among same-size subsets."""
+    size = len(positions)
+    return comb(pool_size, size) - 1 - sum(
+        comb(pool_size - 1 - c, size - i) for i, c in enumerate(positions)
+    )
 
 
-def _combination_rank(members: tuple[int, ...], pool: list[int]) -> int:
-    """Lexicographic rank of an ascending subset of an ascending pool."""
-    rank = 0
-    positions = {v: i for i, v in enumerate(pool)}
-    previous = -1
-    size = len(members)
-    for i, v in enumerate(members):
-        c = positions[v]
-        for skipped in range(previous + 1, c):
-            rank += comb(len(pool) - skipped - 1, size - i - 1)
-        previous = c
-    return rank
+def _combination_unrank(index: int, pool_size: int, size: int) -> list[int]:
+    """Ascending positions of the index-th size-subset of a pool, lexicographic.
+
+    Inverts _combination_rank greedily: with value = comb(pool_size-1-c, r),
+    each member is the first position c past the previous one with
+    value <= rest.  The position right after a member is tried first, its
+    value derived from the member's as comb(m-1, r-1) = comb(m, r)*r/m;
+    past it a galloping search and then bisection find the member.
+    """
+    rest = comb(pool_size, size) - 1 - index
+    positions = []
+    c, value = -1, rest + 1  # no member yet: search from position 0
+    for r in range(size, 0, -1):
+        if value > rest:
+            low = high = c + 1
+            step = 1
+            while (value := comb(pool_size - 1 - high, r)) > rest:
+                low, high, step = high + 1, min(high + step, pool_size - r), step * 2
+            while low < high:
+                middle = (low + high) // 2
+                probe = comb(pool_size - 1 - middle, r)
+                if probe > rest:
+                    low = middle + 1
+                else:
+                    high, value = middle, probe
+            c = high
+        rest -= value
+        positions.append(c)
+        value = value * r // max(pool_size - 1 - c, 1)  # m is 0 only at the last member
+        c += 1
+    return positions
 
 
-def _partition_radices(pool_size: int, block_size: int) -> list[int]:
-    """Per-step choice counts when building a partition block by block."""
-    radices = []
-    remaining = pool_size
-    while remaining > 0:
-        radices.append(comb(remaining - 1, block_size - 1))
-        remaining -= block_size
+def _radices(shape: ForestShape) -> list[int]:
+    """Radices of the code's digits, most significant first (module docstring)."""
+    b, s, k, n = shape.b, shape.s, shape.k, shape.n
+    radices = [comb(n, k + 1)]
+    if s:
+        radices.append(k + 1)
+        radices += [comb(left - 1, b - 2) for left in range(s * (b - 1), 0, 1 - b)]
+        radices += [n] * (s - 1)
     return radices
 
 
-def _partition_unrank(index: int, pool: tuple[int, ...], block_size: int) -> tuple[Block, ...]:
-    """The index-th partition of pool into blocks of block_size, canonical order."""
-    radices = _partition_radices(len(pool), block_size)
-    suffix = 1
-    suffix_products = [1] * len(radices)
-    for i in range(len(radices) - 1, -1, -1):
-        suffix_products[i] = suffix
-        suffix *= radices[i]
-    working = list(pool)
-    blocks = []
-    for i in range(len(radices)):
-        digit, index = divmod(index, suffix_products[i])
-        first = working.pop(0)
-        mates = _combination_unrank(digit, working, block_size - 1)
-        mate_set = set(mates)
-        working = [v for v in working if v not in mate_set]
-        blocks.append((first,) + mates)
-    return tuple(blocks)
-
-
-def _partition_rank(blocks: tuple[Block, ...], pool: tuple[int, ...], block_size: int) -> int:
-    """Canonical-order rank of a partition of pool into blocks of block_size."""
-    radices = _partition_radices(len(pool), block_size)
-    by_first = {blk[0]: blk for blk in blocks}
-    working = list(pool)
-    rank = 0
-    for radix in radices:
-        first = working.pop(0)
-        blk = by_first[first]
-        digit = _combination_rank(blk[1:], working)
-        mate_set = set(blk[1:])
-        working = [v for v in working if v not in mate_set]
-        rank = rank * radix + digit
-    return rank
-
-
-def _code_radices(shape: ForestShape) -> tuple[int, int, int, int]:
-    """Radices of the four code parts: roots, final root, partition, links.
-
-    For s = 0 the last three are 1.
-    """
-    b, s, k, n = shape.b, shape.s, shape.k, shape.n
-    roots = comb(n, k + 1)
-    if s == 0:
-        return roots, 1, 1, 1
-    partitions = 1
-    for radix in _partition_radices(n - k - 1, b - 1):
-        partitions *= radix
-    return roots, k + 1, partitions, n ** (s - 1)
-
-
 def code_space_size(shape: ForestShape) -> int:
-    """Number of codes of the shape: the product of the four radices.
+    """Number of codes of the shape: the product of the digit radices.
 
     Always equals count_forests(b, s, k); computed from the radices here so
-    tests can compare the two routes.
+    tests can compare the two routes.  Equal radices (the links' n) are
+    raised to their count, and the factors multiplied in groups of eight,
+    level by level, so the large partial products meet only at the top
+    instead of growing by one small factor at a time.
     """
-    return prod(_code_radices(shape))
+    factors = [radix**count for radix, count in Counter(_radices(shape)).items()]
+    while len(factors) > 1:
+        factors = [prod(factors[i : i + 8]) for i in range(0, len(factors), 8)]
+    return factors[0]
 
 
 def unrank_code(index: int, shape: ForestShape) -> ForestCode:
     """The index-th code of the shape in canonical order."""
-    radices = _code_radices(shape)
-    total = prod(radices)
-    if index < 0 or index >= total:
+    radices = _radices(shape)
+    digits = []
+    rest = index
+    for radix in reversed(radices):
+        rest, digit = divmod(rest, radix)
+        digits.append(digit)
+    if rest:  # below 0 when index < 0, above 0 when index >= the product
         raise ParameterRangeError(
-            f"index {index} outside 0..{total - 1} for shape "
+            f"index {index} outside 0..{code_space_size(shape) - 1} for shape "
             f"(b={shape.b}, s={shape.s}, k={shape.k})"
         )
+    digits.reverse()
     b, s, k, n = shape.b, shape.s, shape.k, shape.n
-    labels = list(range(1, n + 1))
-
+    roots = tuple(c + 1 for c in _combination_unrank(digits[0], n, k + 1))
     if s == 0:
-        roots = _combination_unrank(index, labels, k + 1)
         return ForestCode(shape, roots, None, (), ())
 
-    _, final_total, partition_total, link_total = radices
-    root_index, rest = divmod(index, final_total * partition_total * link_total)
-    final_index, rest = divmod(rest, partition_total * link_total)
-    partition_index, link_index = divmod(rest, link_total)
-
-    roots = _combination_unrank(root_index, labels, k + 1)
-    final_root = roots[final_index]
     root_set = set(roots)
-    pool = tuple(v for v in labels if v not in root_set)
-    blocks = _partition_unrank(partition_index, pool, b - 1)
-    digits = []
-    for _ in range(s - 1):
-        link_index, digit = divmod(link_index, n)
-        digits.append(digit + 1)
-    links = tuple(reversed(digits))
-    return ForestCode(shape, roots, final_root, blocks, links)
+    working = [v for v in range(1, n + 1) if v not in root_set]
+    blocks = []
+    for digit in digits[2 : s + 2]:
+        first = working.pop(0)
+        positions = _combination_unrank(digit, len(working), b - 2)
+        blocks.append((first, *(working[c] for c in positions)))
+        for c in reversed(positions):
+            del working[c]
+    links = tuple(digit + 1 for digit in digits[s + 2 :])
+    return ForestCode(shape, roots, roots[digits[1]], tuple(blocks), links)
 
 
 def rank_code(code: ForestCode) -> int:
     """Canonical-order index of a valid code; inverse of unrank_code."""
     ensure_valid_code(code)
     shape = code.shape
-    b, s, n = shape.b, shape.s, shape.n
-    labels = list(range(1, n + 1))
-    root_index = _combination_rank(code.roots, labels)
-    if s == 0:
-        return root_index
-
-    final_index = code.roots.index(code.final_root)
-    root_set = set(code.roots)
-    pool = tuple(v for v in labels if v not in root_set)
-    partition_index = _partition_rank(code.blocks, pool, b - 1)
-    link_index = 0
-    for v in code.links:
-        link_index = link_index * n + (v - 1)
-
-    _, final_total, partition_total, link_total = _code_radices(shape)
-    rank = root_index
-    rank = rank * final_total + final_index
-    rank = rank * partition_total + partition_index
-    rank = rank * link_total + link_index
+    n = shape.n
+    digits = [_combination_rank([v - 1 for v in code.roots], n)]
+    if shape.s:
+        digits.append(code.roots.index(code.final_root))
+        root_set = set(code.roots)
+        working = [v for v in range(1, n + 1) if v not in root_set]
+        for blk in code.blocks:  # ordered by smallest label: the canonical walk
+            del working[0]
+            positions = [bisect_left(working, v) for v in blk[1:]]
+            digits.append(_combination_rank(positions, len(working)))
+            for c in reversed(positions):
+                del working[c]
+        digits += [v - 1 for v in code.links]
+    rank = 0
+    for radix, digit in zip(_radices(shape), digits):
+        rank = rank * radix + digit
     return rank
 
 

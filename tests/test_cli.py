@@ -97,6 +97,33 @@ class TestValidate:
         assert status == 1
         assert json.loads(err)["error"] == "invalid-document"
 
+    def test_non_json_input_keeps_its_message(self, capsys, tmp_path):
+        path = tmp_path / "mangled.json"
+        path.write_text("{not json", encoding="utf-8")
+        _, _, err = run_cli(capsys, ["validate", "-i", str(path)])
+        assert json.loads(err)["message"].startswith("input is not valid JSON: ")
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            pytest.param(b"[" * 200_000 + b"]" * 200_000, id="nested-200000-deep"),
+            pytest.param(
+                b'{"n": ' + b"7" * 5000 + b', "b": 2, "edges": [], "roots": [1]}',
+                id="integer-of-5000-digits",
+            ),
+            pytest.param(b'{"n": 2, "b": 2, "edges": [[1, 2]], "roots": [\xff1]}',
+                         id="non-utf8-byte"),
+        ],
+    )
+    def test_unreadable_input_is_one_error_line(self, capsys, tmp_path, content):
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(content)
+        status, out, err = run_cli(capsys, ["validate", "-i", str(path)])
+        assert status == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "invalid-document"
+
 
 class TestEncodeDecode:
     def test_encode_worked_forest(self, capsys, tmp_path):

@@ -101,3 +101,25 @@ def test_no_validity_flag_rides_on_values():
                 node.value if isinstance(node, ast.Constant) else None,
             }
             assert "_known_valid" not in names, (path.name, ast.dump(node))
+
+
+
+def _imported_names(tree: ast.AST) -> set[str]:
+    """Every dotted component of the modules and names a source imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    return names
+
+
+def test_ranking_does_not_use_the_counting_formulas():
+    """code_space_size (radices) and count_forests (closed form) are compared
+    by the acceptance suite, so neither route may borrow from the other."""
+    path = Path(hyperforest.__file__).parent / "ranking.py"
+    names = _imported_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert "codec" in names
+    assert "counting" not in names

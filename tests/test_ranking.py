@@ -1,5 +1,7 @@
 """Tests for ranking, unranking, uniform sampling, and id generation."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,7 +54,8 @@ class TestUnrank:
         assert last.links == (3,)
 
     def test_agrees_with_enumeration_order(self):
-        for b, s, k in [(2, 2, 0), (2, 3, 1), (3, 2, 0), (4, 2, 1)]:
+        # (5, 2, 0): partition digits with 3 mates; (2, 2, 3): 4 roots
+        for b, s, k in [(2, 2, 0), (2, 3, 1), (3, 2, 0), (4, 2, 1), (5, 2, 0), (2, 2, 3)]:
             shape = ForestShape(b=b, s=s, k=k)
             for i, code in enumerate(enumerate_code_space(b, s, k)):
                 assert unrank_code(i, shape) == code
@@ -205,6 +208,51 @@ class TestGoldenDraws:
         shape = ForestShape(b=b, s=s, k=k)
         got = [(f.edges, f.roots) for f in sample_forests(shape, seed, 2)]
         assert got == draws
+
+
+def _code_digest(code: ForestCode) -> str:
+    text = repr((code.roots, code.final_root, code.blocks, code.links))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestGoldenIndexes:
+    """Pinned ranks and unranked codes at shapes too large to enumerate,
+    recorded before rank and unrank were rewritten as one mixed-radix
+    numeral: the canonical order must not move."""
+
+    @pytest.mark.parametrize(
+        "b,s,k,seed,rank,digests",
+        [
+            (
+                3, 60, 2, 7,
+                559645138437613115228113607127334057448272499948097735613648645175816987447788338665481187940008347449195783740793989850486889859492319234030102721576991536891230644509637649939347674778810878087597308226924295737156551346597068,
+                ["d34ed0a97c11a03e", "be6fcb3e3eaaa58f", "721b44230bef67d8"],
+            ),
+            (
+                5, 40, 3, 11,
+                987068194086949068934129533664369042171441333446323498224820176832047859730205338277999153053889601286371986772672744855344099747593222997850555862634543617943913676523542127499762944844155819477222827799799447312403997409028666769594344612656016160421075722644783671639641241,
+                ["01f8d35d3e45c9bc", "828e1811292c695c", "1b625977cc2bb6f2"],
+            ),
+            (
+                6, 25, 1, 2026,
+                1427672934217371470350948761050113937845945225370687034750316547912099575622772051607943796741636109790269506036026348237815064993217115824414901606525060643752630080406098580934818837049,
+                ["6b36467dae46b9ff", "19d2c857a02da4f3", "0b258b76817b6454"],
+            ),
+            (
+                2, 60, 50, 99,
+                13732407124725344948588446515870086600702991041334610611927056041802534217840903475496084911818939263280314930820963673028582219932889126384032476187803842,
+                ["68b2a0397a516bf6", "bbb41b26c1a5496e", "8ddc013f895418ef"],
+            ),
+        ],
+    )
+    def test_rank_and_unrank(self, b, s, k, seed, rank, digests):
+        shape = ForestShape(b=b, s=s, k=k)
+        code = sample_code(shape, seed)
+        assert rank_code(code) == rank
+        assert unrank_code(rank, shape) == code
+        total = code_space_size(shape)
+        got = [_code_digest(unrank_code(i, shape)) for i in (0, total - 1, total // 3)]
+        assert got == digests
 
 
 class TestGenerateIds:

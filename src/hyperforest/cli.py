@@ -15,9 +15,10 @@ Usage:
 Documents are JSON.  A forest document has keys n, b, edges, roots; a code
 document has keys b, s, k, R, r, P, N (r is null when s is 0).  Output is
 canonical: ascending lists, fixed key order, counts and indexes rendered as
-decimal strings.  Single-document commands pretty-print one document;
-sample and ids write one compact document per line; enumerate and audit
-write one compact document per line followed by a summary record.
+decimal strings.  Single-document commands pretty-print one document,
+byte for byte as json.dumps(doc, indent=2) would; sample and ids write one
+compact document per line; enumerate and audit write one compact document
+per line followed by a summary record.
 
 Exit status: 0 on success, 1 when a document fails validation, 2 on usage
 or parameter errors (including enumeration budget refusals).  Errors print
@@ -31,6 +32,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
 from typing import Any
 
 from .codec import (
@@ -75,18 +77,63 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# the one compact encoder: JSON lines, error lines, and the integer lists
+# that _pretty re-indents
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _pretty(value: Any, indent: str = "") -> str:
+    """json.dumps(value, indent=2), byte for byte, for values made of dicts
+    with string keys, lists and scalars.  That call runs the pure-Python
+    encoder, because the C encoder has no indent; here lists of integers,
+    and lists of non-empty lists of integers, are encoded by the C encoder
+    and re-indented with str.replace, which is safe because integers
+    contain no brackets or commas.  ``indent`` is the indentation of the
+    line ``value`` starts on.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ",\n".join(
+            f"{inner}{json.dumps(key)}: {_pretty(item, inner)}"
+            for key, item in value.items()
+        )
+        return f"{{\n{items}\n{indent}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        types = set(map(type, value))
+        if types == {int}:
+            body = _compact(value)[1:-1].replace(",", ",\n" + inner)
+            return f"[\n{inner}{body}\n{indent}]"
+        if (
+            types == {list}
+            and all(value)
+            and set(map(type, chain.from_iterable(value))) == {int}
+        ):
+            deeper = inner + "  "
+            body = (
+                _compact(value)[2:-2]
+                .replace(",", ",\n" + deeper)
+                .replace(f"],\n{deeper}[", f"\n{inner}],\n{inner}[\n{deeper}")
+            )
+            return f"[\n{inner}[\n{deeper}{body}\n{inner}]\n{indent}]"
+        items = ",\n".join(inner + _pretty(item, inner) for item in value)
+        return f"[\n{items}\n{indent}]"
+    return json.dumps(value)
+
+
 def _print_document(doc: dict[str, Any]) -> None:
-    print(json.dumps(doc, indent=2))
+    print(_pretty(doc))
 
 
 def _print_line(doc: dict[str, Any]) -> None:
-    print(json.dumps(doc, separators=(",", ":")))
+    print(_compact(doc))
 
 
 def _fail(code: str, message: str) -> None:
-    sys.stderr.write(
-        json.dumps({"error": code, "message": message}, separators=(",", ":")) + "\n"
-    )
+    sys.stderr.write(_compact({"error": code, "message": message}) + "\n")
 
 
 def _load_json(path: str | None) -> Any:
@@ -116,12 +163,20 @@ def _require(doc: Any, key: str, kind: type, what: str) -> Any:
     return value
 
 
-def _int_list(values: Any, what: str) -> list[int]:
-    if not isinstance(values, list) or any(
-        not isinstance(v, int) or isinstance(v, bool) for v in values
-    ):
+def _int_list(values: Any, what: str) -> tuple[int, ...]:
+    # type() and not isinstance(): bool is an int subclass, and json.loads
+    # returns no other subclass of int
+    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
         raise _DocumentError(f"{what} must be a list of integers")
-    return values
+    return tuple(values)
+
+
+def _int_lists(values: list, what: str) -> tuple[tuple[int, ...], ...]:
+    if not set(map(type, values)) <= {list} or not set(
+        map(type, chain.from_iterable(values))
+    ) <= {int}:
+        raise _DocumentError(f"{what} must be a list of integers")
+    return tuple(map(tuple, values))
 
 
 def forest_from_document(doc: Any) -> RootedForest:
@@ -129,12 +184,8 @@ def forest_from_document(doc: Any) -> RootedForest:
     b = _require(doc, "b", int, "forest")
     edges = _require(doc, "edges", list, "forest")
     roots = _require(doc, "roots", list, "forest")
-    edge_tuples = tuple(
-        tuple(_int_list(e, "each edge")) for e in edges
-    )
-    return RootedForest(
-        n=n, b=b, edges=edge_tuples, roots=tuple(_int_list(roots, "roots"))
-    )
+    edge_tuples = _int_lists(edges, "each edge")
+    return RootedForest(n=n, b=b, edges=edge_tuples, roots=_int_list(roots, "roots"))
 
 
 def forest_to_document(forest: RootedForest) -> dict[str, Any]:
@@ -162,8 +213,8 @@ def code_from_document(doc: Any) -> ForestCode:
         shape = ForestShape(b=b, s=s, k=k)
     except ParameterRangeError as exc:
         raise _DocumentError(f"code document shape is invalid: {exc}") from exc
-    block_tuples = tuple(tuple(_int_list(blk, "each block")) for blk in blocks)
-    return ForestCode(shape, tuple(roots), final_root, block_tuples, tuple(links))
+    block_tuples = _int_lists(blocks, "each block")
+    return ForestCode(shape, roots, final_root, block_tuples, links)
 
 
 def code_to_document(code: ForestCode) -> dict[str, Any]:

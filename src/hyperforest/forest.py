@@ -212,6 +212,11 @@ def validate_forest(forest: RootedForest) -> ValidationReport:
     roots are distinct labels in 1..n; n = s*(b-1) + k + 1; every component
     has excess -1 and contains exactly one root; no two hyperedges share
     more than one vertex.  Never raises.
+
+    The last rule can only fail where the excess rule has failed too: a
+    component of excess -1 is a hypertree, which is Berge-acyclic, so no
+    two of its edges share two vertices.  Its scan over vertex pairs runs
+    only after an excess violation.
     """
     n, b, edges, roots = forest.n, forest.b, forest.edges, forest.roots
     s, k = forest.s, forest.k
@@ -239,8 +244,10 @@ def validate_forest(forest: RootedForest) -> ValidationReport:
             f"vertex count n={n} differs from s(b-1)+k+1={s * (b - 1) + k + 1}"
         )
 
+    cyclic = False
     for verts, _, excess, c in _group_components(n, edges, roots):
         if excess != -1:
+            cyclic = True
             violations.append(
                 f"component containing vertex {verts[0]} has excess "
                 f"{excess}, expected -1"
@@ -251,19 +258,23 @@ def validate_forest(forest: RootedForest) -> ValidationReport:
                 f"expected exactly 1"
             )
 
-    seen_pairs: set[int] = set()
-    stride = n + 1
-    for e in edges:
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                key = e[i] * stride + e[j]
-                if key in seen_pairs:
-                    violations.append(
-                        f"vertices {e[i]} and {e[j]} appear together in more "
-                        f"than one hyperedge"
-                    )
-                else:
-                    seen_pairs.add(key)
+    # two edges sharing two vertices u, v close the Berge cycle u-e-v-f-u,
+    # and a connected component has excess -1 exactly when it has no Berge
+    # cycle: with every excess at -1 the pair scan cannot find anything
+    if cyclic:
+        seen_pairs: set[int] = set()
+        stride = n + 1
+        for e in edges:
+            for i in range(len(e)):
+                for j in range(i + 1, len(e)):
+                    key = e[i] * stride + e[j]
+                    if key in seen_pairs:
+                        violations.append(
+                            f"vertices {e[i]} and {e[j]} appear together in "
+                            f"more than one hyperedge"
+                        )
+                    else:
+                        seen_pairs.add(key)
 
     return ValidationReport(not violations, tuple(violations), s, k)
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
+from hypothesis import strategies as st
 
 from hyperforest import ForestCode, ForestShape, RootedForest
 
@@ -49,6 +52,35 @@ def range_message(b: int, s: int, k: int = 0, min_s: int = 0) -> str:
     if s < min_s:
         return f"edge count s={s} must be at least {min_s}"
     return f"tree parameter k={k} must be at least 0"
+
+
+def small_hypergraphs():
+    """Every hypergraph with b in {2, 3}, n <= 5, s <= 3 distinct edges and
+    at most 3 distinct roots, as a RootedForest (10,103 of them, 917 valid)."""
+    for b in (2, 3):
+        for n in range(1, 6):
+            candidates = list(itertools.combinations(range(1, n + 1), b))
+            for s in range(0, 4):
+                for edges in itertools.combinations(candidates, s):
+                    for size in range(0, 4):
+                        for roots in itertools.combinations(range(1, n + 1), size):
+                            yield RootedForest(n=n, b=b, edges=edges, roots=roots)
+
+
+@st.composite
+def malformed_forests(draw):
+    """Forests of any size with labels just outside 1..n, repeats, edges of
+    the wrong size and duplicate or missing roots."""
+    n = draw(st.integers(-1, 8))
+    b = draw(st.integers(0, 4))
+    label = st.integers(-1, max(n, 0) + 1)
+    edge = st.one_of(
+        st.lists(label, min_size=b, max_size=b),
+        st.lists(label, max_size=5),
+    ).map(lambda e: tuple(sorted(e)))
+    edges = draw(st.lists(edge, max_size=5, unique=True))
+    roots = draw(st.lists(label, max_size=4))
+    return RootedForest(n=n, b=b, edges=edges, roots=tuple(roots))
 
 
 @pytest.fixture

@@ -9,7 +9,11 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperforest import ForestShape, encode_forest, sample_forest
+from hyperforest import cli
 from hyperforest.cli import main
 from tests.conftest import (
     WORKED_BLOCKS,
@@ -169,6 +173,103 @@ class TestEncodeDecode:
         status, _, err = run_cli(capsys, ["encode", "-i", path])
         assert status == 1
         assert json.loads(err)["error"] == "invalid-document"
+
+
+FOREST_DOC = {"n": 3, "b": 2, "edges": [[1, 2], [2, 3]], "roots": [1]}
+CODE_DOC = {"b": 2, "s": 2, "k": 0, "R": [3], "r": 3, "P": [[1], [2]], "N": [3]}
+NOT_INTEGERS = {"true": True, "float": 1.0, "string": "1", "null": None, "list": [1]}
+
+
+def _intake_cases():
+    """(command, document, message) for every place a document holds integers."""
+    for name, bad in NOT_INTEGERS.items():
+        yield pytest.param("encode", dict(FOREST_DOC, edges=[[1, 2], [2, bad]]),
+                           "each edge must be a list of integers", id=f"edge-{name}")
+        yield pytest.param("encode", dict(FOREST_DOC, roots=[bad]),
+                           "roots must be a list of integers", id=f"root-{name}")
+        yield pytest.param("decode", dict(CODE_DOC, P=[[1], [bad]]),
+                           "each block must be a list of integers", id=f"block-{name}")
+        yield pytest.param("decode", dict(CODE_DOC, R=[bad]),
+                           "R must be a list of integers", id=f"R-{name}")
+        yield pytest.param("decode", dict(CODE_DOC, N=[bad]),
+                           "N must be a list of integers", id=f"N-{name}")
+    yield pytest.param("encode", dict(FOREST_DOC, edges=[[1, 2], 3]),
+                       "each edge must be a list of integers", id="edge-not-a-list")
+    yield pytest.param("decode", dict(CODE_DOC, P=[[1], 2]),
+                       "each block must be a list of integers", id="block-not-a-list")
+    yield pytest.param("validate", dict(FOREST_DOC, edges=["12"]),
+                       "each edge must be a list of integers", id="edge-a-string")
+    # precedence: edges before roots; R before r; N before the shape and
+    # the blocks; the shape before the blocks
+    yield pytest.param("encode", dict(FOREST_DOC, edges=[[1, True], [2, 3]], roots=["1"]),
+                       "each edge must be a list of integers", id="edge-and-roots")
+    yield pytest.param("decode", dict(CODE_DOC, R=[None], r="x"),
+                       "R must be a list of integers", id="R-and-r")
+    yield pytest.param("decode", dict(CODE_DOC, P=[[1], [None]], N=[None]),
+                       "N must be a list of integers", id="block-and-N")
+    yield pytest.param("decode", dict(CODE_DOC, N=[1.5], b=1),
+                       "N must be a list of integers", id="N-and-shape")
+    yield pytest.param("decode", dict(CODE_DOC, P=[[1], [None]], b=1),
+                       "code document shape is invalid: edge size b=1 must be at least 2",
+                       id="block-and-shape")
+
+
+class TestDocumentIntake:
+    @pytest.mark.parametrize("command,doc,message", _intake_cases())
+    def test_error_line_is_byte_exact(self, capsys, tmp_path, command, doc, message):
+        path = write_doc(tmp_path, "doc.json", doc)
+        status, out, err = run_cli(capsys, [command, "-i", path])
+        assert status == 1
+        assert out == ""
+        assert err == '{"error":"invalid-document","message":"' + message + '"}\n'
+
+
+JSON_INTS = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-(2**64), min_value=-(2**200)),
+)
+JSON_SCALARS = st.one_of(JSON_INTS, st.booleans(), st.none(), st.text(), st.floats())
+JSON_DOCUMENTS = st.recursive(
+    st.one_of(
+        JSON_SCALARS,
+        st.lists(JSON_INTS),
+        st.lists(st.lists(JSON_INTS)),
+        st.lists(st.lists(st.one_of(JSON_INTS, st.booleans(), st.none(), st.text()))),
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(st.text(), children, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+class TestPrettyPrinter:
+    @settings(max_examples=500, deadline=None)
+    @given(JSON_DOCUMENTS)
+    def test_equals_indented_json_dumps(self, doc):
+        assert cli._pretty(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("b,s,k", [(2, 19_998, 1), (3, 9_999, 1)])
+    def test_large_round_trip_prints_indented_json(self, capsys, tmp_path, b, s, k):
+        forest = sample_forest(ForestShape(b=b, s=s, k=k), 11)
+        assert forest.n == 20_000
+        code = encode_forest(forest)
+        forest_doc = {"n": forest.n, "b": b, "edges": [list(e) for e in forest.edges],
+                      "roots": list(forest.roots)}
+        code_doc = {"b": b, "s": s, "k": k, "R": list(code.roots), "r": code.final_root,
+                    "P": [list(blk) for blk in code.blocks], "N": list(code.links)}
+
+        path = write_doc(tmp_path, "forest.json", forest_doc)
+        status, out, _ = run_cli(capsys, ["encode", "-i", path])
+        assert status == 0
+        assert out == json.dumps(code_doc, indent=2) + "\n"
+
+        code_path = tmp_path / "code.json"
+        code_path.write_text(out, encoding="utf-8")
+        status, out, _ = run_cli(capsys, ["decode", "-i", str(code_path)])
+        assert status == 0
+        assert out == json.dumps(forest_doc, indent=2) + "\n"
 
 
 class TestCount:

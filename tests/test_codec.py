@@ -2,12 +2,10 @@
 and the encode/decode pair on worked examples and exhaustive small sweeps."""
 
 import dataclasses
-import itertools
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hyperforest import (
     ForestCode,
@@ -29,7 +27,9 @@ from tests.conftest import (
     WORKED_FINAL_ROOT,
     WORKED_LINKS,
     WORKED_ROOTS,
+    malformed_forests,
     range_message,
+    small_hypergraphs,
 )
 
 
@@ -252,35 +252,12 @@ def assert_encode_agrees_with_validate(forest) -> bool:
     return False
 
 
-@st.composite
-def malformed_forests(draw):
-    """Forests of any size with labels just outside 1..n, repeats, edges of
-    the wrong size and duplicate or missing roots."""
-    n = draw(st.integers(-1, 8))
-    b = draw(st.integers(0, 4))
-    label = st.integers(-1, max(n, 0) + 1)
-    edge = st.one_of(
-        st.lists(label, min_size=b, max_size=b),
-        st.lists(label, max_size=5),
-    ).map(lambda e: tuple(sorted(e)))
-    edges = draw(st.lists(edge, max_size=5, unique=True))
-    roots = draw(st.lists(label, max_size=4))
-    return RootedForest(n=n, b=b, edges=edges, roots=tuple(roots))
-
-
 class TestEncodeChecksItsInput:
     def test_agrees_with_validate_on_every_small_hypergraph(self):
         checked = valid = 0
-        for b in (2, 3):
-            for n in range(1, 6):
-                candidates = list(itertools.combinations(range(1, n + 1), b))
-                for s in range(0, 4):
-                    for edges in itertools.combinations(candidates, s):
-                        for size in range(0, 4):
-                            for roots in itertools.combinations(range(1, n + 1), size):
-                                forest = RootedForest(n=n, b=b, edges=edges, roots=roots)
-                                valid += assert_encode_agrees_with_validate(forest)
-                                checked += 1
+        for forest in small_hypergraphs():
+            valid += assert_encode_agrees_with_validate(forest)
+            checked += 1
         assert (checked, valid) == (10103, 917)
 
     @settings(max_examples=400, deadline=None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from hyperforest import (
     validate_forest,
 )
 
-from conftest import WORKED_EDGES, WORKED_ROOTS
+from conftest import WORKED_EDGES, WORKED_ROOTS, malformed_forests, small_hypergraphs
 
 
 class TestRootedForest:
@@ -153,6 +155,52 @@ class TestValidateForest:
         f = RootedForest(n=22, b=3, edges=WORKED_EDGES, roots=(5, 9, 16))
         report = validate_forest(f)
         assert len(report.violations) >= 2  # shape arithmetic and rootless tree
+
+
+# forests among small_hypergraphs() whose report has a vertex-pair violation
+PAIR_VIOLATION_FORESTS = 3890
+
+
+def violations_with_full_pair_scan(forest: RootedForest) -> tuple[str, ...]:
+    """validate_forest's violations as they read when the vertex-pair scan
+    runs on every well-formed forest, whatever the component excesses."""
+    n, b, edges, roots = forest.n, forest.b, forest.edges, forest.roots
+    violations = validate_forest(forest).violations
+    well_formed = (
+        n >= 1
+        and b >= 2
+        and roots
+        and len(set(roots)) == len(roots)
+        and all(1 <= r <= n for r in roots)
+        and all(len(set(e)) == len(e) == b and e[0] >= 1 and e[-1] <= n for e in edges)
+    )
+    if not well_formed:
+        return violations
+    pairs, seen = [], set()
+    for e in edges:
+        for u, v in itertools.combinations(e, 2):
+            if (u, v) in seen:
+                pairs.append(
+                    f"vertices {u} and {v} appear together in more than one hyperedge"
+                )
+            seen.add((u, v))
+    others = tuple(v for v in violations if not v.startswith("vertices "))
+    return others + tuple(pairs)
+
+
+class TestPairScanRunsOnlyAfterAnExcessViolation:
+    def test_same_violations_on_every_small_hypergraph(self):
+        with_pairs = 0
+        for forest in small_hypergraphs():
+            expected = violations_with_full_pair_scan(forest)
+            assert validate_forest(forest).violations == expected, forest
+            with_pairs += any(v.startswith("vertices ") for v in expected)
+        assert with_pairs == PAIR_VIOLATION_FORESTS
+
+    @settings(max_examples=200, deadline=None)
+    @given(malformed_forests())
+    def test_same_violations_on_malformed_forests(self, forest):
+        assert validate_forest(forest).violations == violations_with_full_pair_scan(forest)
 
 
 class TestLeafBlocks:

@@ -123,3 +123,17 @@ def test_ranking_does_not_use_the_counting_formulas():
     names = _imported_names(ast.parse(path.read_text(encoding="utf-8")))
     assert "codec" in names
     assert "counting" not in names
+
+
+def test_no_json_output_is_indented_by_the_json_module():
+    """json.dumps(..., indent=...) runs the pure-Python encoder; the CLI's
+    _pretty gives the same bytes from the C encoder."""
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in {"dump", "dumps", "JSONEncoder"}:
+                keywords = {kw.arg for kw in node.keywords}
+                assert "indent" not in keywords, (path.name, node.lineno)

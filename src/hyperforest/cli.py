@@ -288,11 +288,6 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
-def _hypercycle_vertex_count(b: int, s: int) -> int:
-    """s*(b-1): excess 0 leaves one vertex fewer than a hypertree on s edges."""
-    return ForestShape(b=b, s=s, k=0).n - 1
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
     # the count function and the document keys between "kind" and "count";
     # every key but "n" is a flag that the function takes by the same name
@@ -308,7 +303,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             raise _UsageError(f"count --kind {args.kind} requires --{key}")
     value = count(**params)
     if args.kind.startswith("hypercycle"):
-        params["n"] = _hypercycle_vertex_count(args.b, args.s)
+        params["n"] = args.s * (args.b - 1)
     else:
         params["n"] = ForestShape(b=args.b, s=args.s, k=params.get("k", 0)).n
     _print_document(
@@ -320,7 +315,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 def _hypercycle_to_document(edges: tuple[Hyperedge, ...]) -> dict[str, Any]:
     b = len(edges[0])
     return {
-        "n": _hypercycle_vertex_count(b, len(edges)),
+        "n": len(edges) * (b - 1),
         "b": b,
         "edges": [list(e) for e in edges],
     }

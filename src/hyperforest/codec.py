@@ -21,14 +21,16 @@ hyperedge, and finally closes the last block with final_root.
 
 Both directions run in O((n + s) log s) time using a heap of ready blocks,
 and the pair of maps is a bijection between valid forests and valid codes
-of the same shape.
+of the same shape.  Neither runs a separate validation pass: once a few
+counts fit n = s*(b-1) + k + 1, the pass doing the work proves its input
+valid, and a refusal raises with the validate function's report.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import NoReturn
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, NoReturn
 
 from .errors import InvalidStructureError, InvariantViolation, ParameterRangeError
 from .forest import (
@@ -171,10 +173,10 @@ def ensure_valid_code(code: ForestCode) -> None:
         raise InvalidStructureError("invalid code: " + "; ".join(report.violations))
 
 
-def _reject(forest: RootedForest) -> NoReturn:
-    """Raise validate_forest's report for a forest the pruning refused."""
-    ensure_valid(forest)
-    raise InvariantViolation("pruning refused a forest that validates")
+def _reject(value: Any, ensure: Callable[[Any], None]) -> NoReturn:
+    """Raise ensure's report for a value encode or decode refused."""
+    ensure(value)
+    raise InvariantViolation(f"the codec refused a {type(value).__name__} that validates")
 
 
 def encode_forest(forest: RootedForest) -> ForestCode:
@@ -200,16 +202,15 @@ def encode_forest(forest: RootedForest) -> ForestCode:
         or n != s * (b - 1) + k + 1
         or (s and (set(map(len, edges)) != {b} or edges[0][0] < 1))
     ):
-        _reject(forest)
+        _reject(forest, ensure_valid)
 
     removal_blocks: list[Block] = []
     links: list[VertexId] = []
     record_block = removal_blocks.append
     record_link = links.append
-    heappush, heappop = heapq.heappush, heapq.heappop
     try:
         incidence, live_edge_sum, is_root, anchors, heap = _leaf_scan(n, edges, roots)
-        heapq.heapify(heap)
+        heapify(heap)
         for _ in range(s):
             i = heappop(heap) % s
             link = -1
@@ -220,7 +221,7 @@ def encode_forest(forest: RootedForest) -> ForestCode:
                 else:
                     block.append(v)
             if link < 0:
-                _reject(forest)
+                _reject(forest, ensure_valid)
             record_link(link)
             record_block(tuple(block))
             incidence[link] -= 1
@@ -236,14 +237,14 @@ def encode_forest(forest: RootedForest) -> ForestCode:
                             break
                     heappush(heap, key * s + j)
     except IndexError:  # a label above n, or an empty heap before round s
-        _reject(forest)
+        _reject(forest, ensure_valid)
 
     shape = ForestShape(b=b, s=s, k=k)
     if s == 0:
         return ForestCode(shape, roots, None, (), ())
     final_root = links.pop()
     if not is_root[final_root]:
-        _reject(forest)
+        _reject(forest, ensure_valid)
     return ForestCode(shape, roots, final_root, tuple(removal_blocks), tuple(links))
 
 
@@ -259,62 +260,65 @@ def decode_code(code: ForestCode) -> RootedForest:
     that count reaches zero.  At least one block is always ready: the u
     unused blocks are pairwise disjoint, so the u-1 or fewer remaining link
     entries can block at most u-1 of them.
+
+    The checks below fix every count, every label >= 1 and final_root; if
+    the passes filling the label arrays then meet no label above n and none
+    twice, the k+1 roots and s(b-1) block labels are the n labels 1..n, so
+    the blocks partition the non-roots.  Refusals carry validate_code's report.
     """
-    ensure_valid_code(code)
     shape = code.shape
     b, s, k, n = shape.b, shape.s, shape.k, shape.n
-    roots = code.roots
-
+    roots, final_root, blocks, links = code.roots, code.final_root, code.blocks, code.links
+    # roots and blocks are sorted, so roots[0] and blocks[0][0] are the smallest labels
+    if (
+        len(roots) != k + 1 or roots[0] < 1 or roots[-1] > n or len(set(roots)) != k + 1
+        or (final_root not in roots if s else final_root is not None)
+        or len(blocks) != s or len(links) != max(s - 1, 0) or min(links, default=1) < 1
+        or (s and (set(map(len, blocks)) != {b - 1} or blocks[0][0] < 1))
+    ):
+        _reject(code, ensure_valid_code)
     if s == 0:
         return RootedForest(n=n, b=b, edges=(), roots=roots)
 
-    blocks, links = code.blocks, code.links
-    occurrences = [0] * (n + 1)
-    for v in links:
-        occurrences[v] += 1
-    block_of = [-1] * (n + 1)
-    for j, blk in enumerate(blocks):
-        for v in blk:
-            block_of[v] = j
-
-    # heap entries are smallest_label * s + block_id, single-int comparisons
-    pending = [0] * s
-    heap: list[int] = []
-    for j, blk in enumerate(blocks):
-        c = 0
-        for v in blk:
-            if occurrences[v]:
-                c += 1
-        pending[j] = c
-        if c == 0:
-            heap.append(blk[0] * s + j)
-    heapq.heapify(heap)
-    heappush, heappop = heapq.heappush, heapq.heappop
+    try:
+        occurrences = [0] * (n + 1)
+        for v in links:
+            occurrences[v] += 1
+        # a label's slot holds its block, s for a root, -1 while unplaced
+        block_of = [-1] * (n + 1)
+        for r in roots:
+            block_of[r] = s
+        # heap entries are smallest_label * s + block_id, single-int comparisons
+        pending = [0] * s
+        heap: list[int] = []
+        for j, blk in enumerate(blocks):
+            c = 0
+            for v in blk:
+                if block_of[v] != -1:  # a root, or a label already placed
+                    _reject(code, ensure_valid_code)
+                block_of[v] = j
+                if occurrences[v]:
+                    c += 1
+            pending[j] = c
+            if c == 0:
+                heap.append(blk[0] * s + j)
+    except IndexError:  # a label above n
+        _reject(code, ensure_valid_code)
+    heapify(heap)
 
     edges: list[Hyperedge] = []
     record_edge = edges.append
-    for t in range(s - 1):
-        if not heap:
-            raise InvariantViolation(
-                "no block is ready although the code validated; "
-                f"step {t + 1} of {s}"
-            )
+    for v in links:
         j = heappop(heap) % s
-        v = links[t]
         record_edge(blocks[j] + (v,))
         occurrences[v] -= 1
         if occurrences[v] == 0:
             bj = block_of[v]
-            if bj >= 0:
+            if bj < s:
                 pending[bj] -= 1
                 if pending[bj] == 0:
                     heappush(heap, blocks[bj][0] * s + bj)
-
-    if not heap:
-        raise InvariantViolation("the final block is not ready")
     j = heappop(heap) % s
-    record_edge(blocks[j] + (code.final_root,))
-    if heap:
-        raise InvariantViolation("more than one block left after decoding")
+    record_edge(blocks[j] + (final_root,))
 
     return RootedForest(n=n, b=b, edges=edges, roots=roots)

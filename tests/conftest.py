@@ -83,6 +83,60 @@ def malformed_forests(draw):
     return RootedForest(n=n, b=b, edges=edges, roots=tuple(roots))
 
 
+SMALL_CODE_SHAPES = (
+    (2, 0, 0), (2, 0, 1), (2, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 1),
+    (3, 0, 1), (3, 1, 0), (3, 1, 1),
+)
+
+
+def small_codes():
+    """Codes of every shape in SMALL_CODE_SHAPES with labels in 0..n+1: k or
+    k+1 roots, repeats allowed; final root None or any label; s-1, s or s+1
+    blocks of b-1 labels, repeats allowed; every link sequence of the right
+    length and one sequence too short and one too long (252,940 codes, 83
+    valid)."""
+    for b, s, k in SMALL_CODE_SHAPES:
+        shape = ForestShape(b=b, s=s, k=k)
+        labels = range(0, shape.n + 2)
+        block_choices = list(itertools.combinations_with_replacement(labels, b - 1))
+        expected_links = max(s - 1, 0)
+        link_choices = [
+            *itertools.product(labels, repeat=expected_links),
+            (1,) * (expected_links + 1),
+        ]
+        if expected_links:
+            link_choices.append((1,) * (expected_links - 1))
+        for count in (k, k + 1):
+            for roots in itertools.combinations_with_replacement(labels, count):
+                for final_root in (None, *labels):
+                    for m in range(max(s - 1, 0), s + 2):
+                        for blocks in itertools.combinations_with_replacement(
+                            block_choices, m
+                        ):
+                            for links in link_choices:
+                                yield ForestCode(shape, roots, final_root, blocks, links)
+
+
+@st.composite
+def malformed_codes(draw):
+    """Codes of any small shape with labels just outside 1..n, repeats,
+    blocks of the wrong size and wrong counts of roots, blocks and links."""
+    b = draw(st.integers(2, 4))
+    s = draw(st.integers(0, 4))
+    k = draw(st.integers(0, 2))
+    shape = ForestShape(b=b, s=s, k=k)
+    label = st.integers(-1, shape.n + 1)
+    block = st.one_of(
+        st.lists(label, min_size=b - 1, max_size=b - 1),
+        st.lists(label, max_size=4),
+    )
+    roots = draw(st.lists(label, min_size=max(k - 1, 0), max_size=k + 2))
+    final_root = draw(st.one_of(st.none(), label, st.sampled_from(roots or [1])))
+    blocks = draw(st.lists(block, min_size=max(s - 1, 0), max_size=s + 1))
+    links = draw(st.lists(label, min_size=max(s - 2, 0), max_size=s))
+    return ForestCode(shape, tuple(roots), final_root, tuple(blocks), tuple(links))
+
+
 @pytest.fixture
 def worked_forest() -> RootedForest:
     return RootedForest(n=22, b=3, edges=WORKED_EDGES, roots=WORKED_ROOTS)

@@ -27,8 +27,10 @@ from tests.conftest import (
     WORKED_FINAL_ROOT,
     WORKED_LINKS,
     WORKED_ROOTS,
+    malformed_codes,
     malformed_forests,
     range_message,
+    small_codes,
     small_hypergraphs,
 )
 
@@ -287,6 +289,98 @@ class TestEncodeChecksItsInput:
     def test_named_malformed_forest(self, n, b, edges, roots):
         forest = RootedForest(n=n, b=b, edges=edges, roots=roots)
         assert not assert_encode_agrees_with_validate(forest)
+
+
+def assert_decode_agrees_with_validate(code) -> bool:
+    """decode_code refuses exactly the codes validate_code reports as
+    invalid, with the report as its message, and the forest it gives for
+    the rest encodes back to the same code.  Returns whether the code is
+    valid."""
+    report = validate_code(code)
+    if report.valid:
+        assert encode_forest(decode_code(code)) == code
+        return True
+    with pytest.raises(InvalidStructureError) as info:
+        decode_code(code)
+    assert str(info.value) == "invalid code: " + "; ".join(report.violations)
+    return False
+
+
+def _named_code(b=3, s=2, k=1, roots=(5, 6), final_root=5,
+                blocks=((1, 2), (3, 4)), links=(3,)):
+    """A valid code on n = 6 unless an argument breaks it."""
+    return ForestCode(ForestShape(b=b, s=s, k=k), roots, final_root, blocks, links)
+
+
+class TestDecodeChecksItsInput:
+    def test_named_base_code_is_valid(self):
+        assert assert_decode_agrees_with_validate(_named_code())
+
+    def test_agrees_with_validate_on_every_small_code(self):
+        checked = valid = 0
+        for code in small_codes():
+            valid += assert_decode_agrees_with_validate(code)
+            checked += 1
+        assert (checked, valid) == (252940, 83)
+
+    @settings(max_examples=400, deadline=None)
+    @given(malformed_codes())
+    def test_agrees_with_validate_on_malformed_codes(self, code):
+        assert_decode_agrees_with_validate(code)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            pytest.param({"roots": (0, 6), "final_root": 6}, id="root-0"),
+            pytest.param({"roots": (-1, 6), "final_root": 6}, id="root-minus-1"),
+            pytest.param({"roots": (5, 7)}, id="root-n-plus-1"),
+            pytest.param(
+                {"s": 0, "k": 1, "roots": (1, 3), "final_root": None, "blocks": (),
+                 "links": ()},
+                id="root-n-plus-1-without-edges",
+            ),
+            pytest.param({"blocks": ((0, 2), (3, 4))}, id="block-label-0"),
+            pytest.param({"blocks": ((-1, 2), (3, 4))}, id="block-label-minus-1"),
+            pytest.param({"blocks": ((1, 2), (3, 7))}, id="block-label-n-plus-1"),
+            pytest.param({"links": (0,)}, id="link-0"),
+            pytest.param({"links": (-1,)}, id="link-minus-1"),
+            pytest.param({"links": (7,)}, id="link-n-plus-1"),
+            pytest.param({"blocks": ((1, 2), (2, 3))}, id="label-in-two-blocks"),
+            pytest.param({"blocks": ((1, 1), (3, 4))}, id="label-twice-in-a-block"),
+            pytest.param({"blocks": ((1, 2), (3, 5))}, id="root-inside-a-block"),
+            pytest.param({"blocks": ((1, 2, 3), (4,))}, id="wrong-block-size"),
+            pytest.param({"blocks": ((1, 2),)}, id="one-block-too-few"),
+            pytest.param({"blocks": ((1, 2), (3, 4), (7, 8))}, id="one-block-too-many"),
+            pytest.param({"links": ()}, id="one-link-too-few"),
+            pytest.param({"links": (3, 3)}, id="one-link-too-many"),
+            pytest.param({"final_root": 1}, id="final-root-not-a-root"),
+            pytest.param({"final_root": None}, id="final-root-missing"),
+            pytest.param({"roots": (5, 5), "final_root": 5}, id="duplicate-roots"),
+            pytest.param({"roots": (5, 5, 6)}, id="one-root-too-many"),
+            pytest.param({"roots": (5,)}, id="one-root-too-few"),
+            pytest.param(
+                {"s": 0, "k": 1, "roots": (1, 2), "final_root": 0, "blocks": (),
+                 "links": ()},
+                id="final-root-0-without-edges",
+            ),
+        ],
+    )
+    def test_named_malformed_code(self, changes):
+        assert not assert_decode_agrees_with_validate(_named_code(**changes))
+
+    def test_memory_follows_the_document_not_the_declared_size(self):
+        # b = 10**6 declares a million labels; the document holds two
+        code = ForestCode(ForestShape(b=10**6, s=1, k=0), (1,), 1, ((2,),), ())
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidStructureError) as info:
+                decode_code(code)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        report = validate_code(code)
+        assert str(info.value) == "invalid code: " + "; ".join(report.violations)
+        assert peak < 4 * 2**20
 
 
 class TestPurity:

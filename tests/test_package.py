@@ -137,3 +137,27 @@ def test_no_json_output_is_indented_by_the_json_module():
             if name in {"dump", "dumps", "JSONEncoder"}:
                 keywords = {kw.arg for kw in node.keywords}
                 assert "indent" not in keywords, (path.name, node.lineno)
+
+
+def test_codec_directions_run_no_separate_validation_pass():
+    """encode_forest and decode_code check their input with their own passes;
+    the validate and ensure functions may only be handed to _reject, which
+    words a refusal, so no pass before the codec's own can come back."""
+    checkers = {"validate_code", "ensure_valid_code", "validate_forest", "ensure_valid"}
+    path = Path(hyperforest.__file__).parent / "codec.py"
+    functions = {
+        node.name: node
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)
+    }
+    for name in ("encode_forest", "decode_code"):
+        rejects = [
+            node for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_reject"
+        ]
+        assert rejects, name
+        handed_over = {id(arg) for call in rejects for arg in call.args}
+        for node in ast.walk(functions[name]):
+            used = getattr(node, "id", None) or getattr(node, "attr", None)
+            if used in checkers:
+                assert id(node) in handed_over, (name, used, node.lineno)

@@ -2,8 +2,11 @@
 
 Every function works in exact integer and rational arithmetic (Python int
 and fractions.Fraction); no floating point is used anywhere in this module.
-Counts are computed as reduced rationals and converted to integers with an
-integrality assertion.
+The forest and hypertree counts are products of factorials and powers of n,
+so they are computed from the exponent of each prime p <= n and multiplied
+over a balanced product tree; a negative exponent fails their integrality
+assertion.  The hypercycle counts are computed as reduced rationals and
+converted to integers with the same assertion.
 
 With n = s*(b-1) + k + 1:
 
@@ -28,10 +31,11 @@ them.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from itertools import compress
+from math import comb, factorial, isqrt
 from typing import Literal, NamedTuple
 
-from .codec import check_shape
+from .codec import check_shape, product_levels
 from .errors import InvariantViolation, ParameterRangeError
 
 HypercycleForm = Literal["closed", "sum"]
@@ -46,33 +50,82 @@ def _as_count(value: Fraction, what: str) -> int:
     return int(value)
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes p <= n, for n >= 1, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * (n + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(compress(range(n + 1), sieve))
+
+
+def _legendre(m: int, p: int) -> int:
+    """Exponent of the prime p in m! (Legendre's formula)."""
+    e = 0
+    while m:
+        m //= p
+        e += m
+    return e
+
+
+def _factorial_quotient(
+    n: int, power: int, factorials: list[tuple[int, int]], what: str
+) -> int:
+    """n**power * prod(m! ** weight for m, weight in factorials), exactly.
+
+    For n >= 2 and every m <= n, so only primes p <= n occur.  Each prime's
+    exponent sums Legendre's formula over the factorials and power times its
+    exponent in n; the result is the product of the p^e over a balanced
+    product tree (Borwein, J. Algorithms 6, 1985), with no fraction or gcd.
+    A negative exponent means the quotient is not an integer, which the
+    counts' proofs rule out, so it raises InvariantViolation.
+    """
+    powers = []
+    for p in _primes_upto(n):
+        e = sum(weight * _legendre(m, p) for m, weight in factorials)
+        q = n
+        while q % p == 0:
+            q //= p
+            e += power
+        if e < 0:
+            raise InvariantViolation(
+                f"{what} is not an integer: prime {p} has exponent {e}"
+            )
+        powers.append(p**e)
+    return product_levels(powers)[-1][0]
+
+
 def count_forests(b: int, s: int, k: int) -> int:
     """Number of forests of k+1 labelled rooted b-uniform hypertrees with s edges.
 
     Evaluates (n!/k!) * n^(s-1) / (s! * (b-1)!^s) on n = s*(b-1) + k + 1
-    vertices.  For s = 0 the only forest is the one whose k+1 vertices are
-    all isolated roots, and the formula reduces to 1 as well.
+    vertices from its prime exponents.  For s = 0 the only forest is the
+    one whose k+1 vertices are all isolated roots, and the formula reduces
+    to 1 as well.
     """
     check_shape(b, s, k)
     if s == 0:
         return 1
     n = s * (b - 1) + k + 1
-    value = Fraction(factorial(n), factorial(k)) * Fraction(
-        n ** (s - 1), factorial(s) * factorial(b - 1) ** s
+    return _factorial_quotient(
+        n, s - 1, [(n, 1), (k, -1), (s, -1), (b - 1, -s)],
+        f"forest count for b={b}, s={s}, k={k}",
     )
-    return _as_count(value, f"forest count for b={b}, s={s}, k={k}")
 
 
 def count_rooted_hypertrees(b: int, s: int) -> int:
     """Number of labelled rooted b-uniform hypertrees with s edges.
 
-    Evaluates (n-1)! * n^s / (s! * (b-1)!^s) on n = s*(b-1) + 1 vertices.
-    At b = 2 this is Cayley's n^(n-1) count of rooted labelled trees.
+    Evaluates (n-1)! * n^s / (s! * (b-1)!^s) on n = s*(b-1) + 1 vertices
+    from its prime exponents.  At b = 2 this is Cayley's n^(n-1) count of
+    rooted labelled trees.
     """
     check_shape(b, s, min_s=1)
     n = s * (b - 1) + 1
-    value = Fraction(factorial(n - 1) * n ** s, factorial(s) * factorial(b - 1) ** s)
-    return _as_count(value, f"hypertree count for b={b}, s={s}")
+    return _factorial_quotient(
+        n, s, [(n - 1, 1), (s, -1), (b - 1, -s)], f"hypertree count for b={b}, s={s}"
+    )
 
 
 def count_hypercycles(b: int, s: int, form: HypercycleForm = "closed") -> int:

@@ -211,7 +211,9 @@ def validate_forest(forest: RootedForest) -> ValidationReport:
     Rules: n >= 1 and b >= 2; every edge has b distinct labels in 1..n;
     roots are distinct labels in 1..n; n = s*(b-1) + k + 1; every component
     has excess -1 and contains exactly one root; no two hyperedges share
-    more than one vertex.  Never raises.
+    more than one vertex.  Never raises.  Malformed edges or roots, or else
+    an n that differs from s*(b-1) + k + 1, end the report there, so its
+    size and cost follow the forest's edges and roots, not its declared n.
 
     The last rule can only fail where the excess rule has failed too: a
     component of excess -1 is a hypertree, which is Berge-acyclic, so no
@@ -235,14 +237,15 @@ def validate_forest(forest: RootedForest) -> ValidationReport:
             violations.append(f"root {r} outside 1..{n}")
     if not roots:
         violations.append("at least one root is required")
-    if violations:
-        # component analysis is meaningless on malformed input
-        return ValidationReport(False, tuple(violations), s, k)
-
-    if n != s * (b - 1) + k + 1:
+    if not violations and n != s * (b - 1) + k + 1:
         violations.append(
             f"vertex count n={n} differs from s(b-1)+k+1={s * (b - 1) + k + 1}"
         )
+    if violations:
+        # component analysis is meaningless on malformed input, and on a
+        # declared n that the edges and roots cannot fill it would report
+        # per declared vertex rather than per document entry
+        return ValidationReport(False, tuple(violations), s, k)
 
     cyclic = False
     for verts, _, excess, c in _group_components(n, edges, roots):

@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from collections import Counter
-from math import comb, prod
+from math import comb
 
-from .codec import ForestCode, ForestShape, decode_code, ensure_valid_code
+from .codec import ForestCode, ForestShape, decode_code, ensure_valid_code, product_levels
 from .errors import ParameterRangeError
 from .forest import RootedForest
 
@@ -98,31 +97,38 @@ def code_space_size(shape: ForestShape) -> int:
     """Number of codes of the shape: the product of the digit radices.
 
     Always equals count_forests(b, s, k); computed from the radices here so
-    tests can compare the two routes.  Equal radices (the links' n) are
-    raised to their count, and the factors multiplied in groups of eight,
-    level by level, so the large partial products meet only at the top
-    instead of growing by one small factor at a time.
+    tests can compare the two routes.  It is the root of the radices'
+    product tree, the tree that rank and unrank combine and split along.
     """
-    factors = [radix**count for radix, count in Counter(_radices(shape)).items()]
-    while len(factors) > 1:
-        factors = [prod(factors[i : i + 8]) for i in range(0, len(factors), 8)]
-    return factors[0]
+    return product_levels(_radices(shape))[-1][0]
 
 
 def unrank_code(index: int, shape: ForestShape) -> ForestCode:
-    """The index-th code of the shape in canonical order."""
-    radices = _radices(shape)
-    digits = []
-    rest = index
-    for radix in reversed(radices):
-        rest, digit = divmod(rest, radix)
-        digits.append(digit)
-    if rest:  # below 0 when index < 0, above 0 when index >= the product
+    """The index-th code of the shape in canonical order.
+
+    The index is split top-down over the radices' product tree: a node's
+    value divided by the product of its right subtree's radices gives the
+    left child's value as quotient and the right child's as remainder, so
+    every division meets a divisor about half its dividend's size.
+    """
+    return _unrank(index, shape, product_levels(_radices(shape)))
+
+
+def _unrank(index: int, shape: ForestShape, levels: list[list[int]]) -> ForestCode:
+    """unrank_code over the shape's radix product tree, built by the caller."""
+    if not 0 <= index < levels[-1][0]:
         raise ParameterRangeError(
-            f"index {index} outside 0..{code_space_size(shape) - 1} for shape "
+            f"index {index} outside 0..{levels[-1][0] - 1} for shape "
             f"(b={shape.b}, s={shape.s}, k={shape.k})"
         )
-    digits.reverse()
+    digits = [index]
+    for level in reversed(levels[:-1]):
+        split = []
+        for value, right in zip(digits, level[1::2]):
+            split += divmod(value, right) if value else (0, 0)
+        if len(level) % 2:
+            split.append(digits[-1])
+        digits = split
     b, s, k, n = shape.b, shape.s, shape.k, shape.n
     roots = tuple(c + 1 for c in _combination_unrank(digits[0], n, k + 1))
     if s == 0:
@@ -142,7 +148,12 @@ def unrank_code(index: int, shape: ForestShape) -> ForestCode:
 
 
 def rank_code(code: ForestCode) -> int:
-    """Canonical-order index of a valid code; inverse of unrank_code."""
+    """Canonical-order index of a valid code; inverse of unrank_code.
+
+    The digits are combined bottom-up over the radices' product tree: a
+    node's value is its left child's times the right subtree's product plus
+    its right child's, so every multiplication meets operands of one size.
+    """
     ensure_valid_code(code)
     shape = code.shape
     n = shape.n
@@ -158,10 +169,15 @@ def rank_code(code: ForestCode) -> int:
             for c in reversed(positions):
                 del working[c]
         digits += [v - 1 for v in code.links]
-    rank = 0
-    for radix, digit in zip(_radices(shape), digits):
-        rank = rank * radix + digit
-    return rank
+    for level in product_levels(_radices(shape))[:-1]:
+        combined = [
+            high * right + low
+            for high, low, right in zip(digits[::2], digits[1::2], level[1::2])
+        ]
+        if len(level) % 2:
+            combined.append(digits[-1])
+        digits = combined
+    return digits[0]
 
 
 def _check_seed(seed: int) -> int:
@@ -242,9 +258,10 @@ def generate_ids(shape: ForestShape, m: int) -> list[ForestCode]:
     """
     if m < 0:
         raise ParameterRangeError(f"id count m={m} must be at least 0")
-    total = code_space_size(shape)
+    levels = product_levels(_radices(shape))
+    total = levels[-1][0]
     if m > total:
         raise ParameterRangeError(
             f"requested {m} ids but the shape has only {total} codes"
         )
-    return [unrank_code(i, shape) for i in range(m)]
+    return [_unrank(i, shape, levels) for i in range(m)]

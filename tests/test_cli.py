@@ -7,6 +7,7 @@ the exit status.  Documents are written to temporary files and passed with
 
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,28 @@ class TestValidate:
         doc = json.loads(out)
         assert doc["valid"] is False
         assert doc["violations"]
+
+    def test_declared_size_is_one_violation_in_bounded_memory(self, capsys, tmp_path):
+        # one edge and one root cannot fill n = 200,000; analysing the
+        # declared labels would add a "has 0 roots" line per vertex
+        path = tmp_path / "declared.json"
+        path.write_bytes(b'{"n":200000,"b":2,"edges":[[1,2]],"roots":[1]}')
+        violation = "vertex count n=200000 differs from s(b-1)+k+1=2"
+        tracemalloc.start()
+        try:
+            validated = run_cli(capsys, ["validate", "-i", str(path)])
+            encoded = run_cli(capsys, ["encode", "-i", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert validated[0] == 1
+        assert json.loads(validated[1])["violations"] == [violation]
+        assert encoded[0] == 1
+        assert json.loads(encoded[2]) == {
+            "error": "invalid-structure",
+            "message": f"invalid forest: {violation}",
+        }
+        assert peak < 4 * 2**20
 
     def test_unrecognised_document(self, capsys, tmp_path):
         path = write_doc(tmp_path, "odd.json", {"foo": 1})

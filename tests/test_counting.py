@@ -12,13 +12,17 @@ from math import comb, factorial
 import pytest
 
 from hyperforest import (
+    ForestShape,
+    InvariantViolation,
     ParameterRangeError,
+    code_space_size,
     count_forests,
     count_hypercycles,
     count_rooted_hypertrees,
     cycle_sum_identity,
     hypercycle_class_count,
 )
+from hyperforest.counting import _factorial_quotient
 from tests.conftest import range_message
 
 
@@ -63,22 +67,54 @@ class TestCountForests:
         assert str(info.value) == range_message(b, s, k)
 
     def test_rational_form_agrees(self):
-        # recompute from the definition with Fraction to guard the int fast path
-        for b, s, k in [(2, 4, 2), (3, 3, 1), (5, 2, 0)]:
-            n = s * (b - 1) + k + 1
-            expected = (
-                Fraction(factorial(n), factorial(k))
-                * Fraction(n) ** (s - 1)
-                / (factorial(s) * factorial(b - 1) ** s)
-            )
-            assert count_forests(b, s, k) == expected
+        # the formula evaluated with Fraction is the reference the prime
+        # exponent counts must match; s = 0 and s = 1 lie on the grid
+        for b in range(2, 8):
+            for s in range(0, 61):
+                for k in range(0, 81):
+                    assert count_forests(b, s, k) == forest_fraction(b, s, k), (b, s, k)
+
+    @pytest.mark.parametrize("b,s,k", [(3, 6000, 0), (3, 16000, 2)])
+    def test_equals_code_space_size_at_large_shapes(self, b, s, k):
+        assert count_forests(b, s, k) == code_space_size(ForestShape(b=b, s=s, k=k))
+
+
+def forest_fraction(b, s, k):
+    n = s * (b - 1) + k + 1
+    return (
+        Fraction(factorial(n), factorial(k))
+        * Fraction(n) ** (s - 1)
+        / (factorial(s) * factorial(b - 1) ** s)
+    )
+
+
+def hypertree_fraction(b, s):
+    n = s * (b - 1) + 1
+    return Fraction(factorial(n - 1) * n**s, factorial(s) * factorial(b - 1) ** s)
+
+
+class TestFactorialQuotient:
+    def test_non_integral_quotient_is_an_invariant_violation(self):
+        # 3^0 * 1! / 2! = 1/2: the prime 2 has exponent -1
+        with pytest.raises(InvariantViolation) as info:
+            _factorial_quotient(3, 0, [(1, 1), (2, -1)], "half")
+        assert str(info.value) == "half is not an integer: prime 2 has exponent -1"
 
 
 class TestCountRootedHypertrees:
     def test_two_vertex_edges_give_cayley_counts(self):
         # rooted labelled trees on n vertices: n^(n-1)
-        for n in range(2, 13):
+        for n in list(range(2, 13)) + [97, 1000, 4096]:
             assert count_rooted_hypertrees(2, n - 1) == n ** (n - 1)
+
+    def test_rational_form_agrees(self):
+        for b in range(2, 8):
+            for s in range(1, 61):
+                assert count_rooted_hypertrees(b, s) == hypertree_fraction(b, s), (b, s)
+
+    def test_equals_code_space_size_at_k_zero(self):
+        shape = ForestShape(b=3, s=6000, k=0)
+        assert count_rooted_hypertrees(3, 6000) == code_space_size(shape)
 
     @pytest.mark.parametrize(
         "b,s,expected",

@@ -112,13 +112,14 @@ class TestValidateForest:
         assert report.k == 3
 
     def test_triangle_reports_excess(self):
-        f = RootedForest(n=3, b=2, edges=[(1, 2), (2, 3), (1, 3)], roots=(1,))
+        # n = 4 fits s(b-1)+k+1, so the components are analysed
+        f = RootedForest(n=4, b=2, edges=[(1, 2), (2, 3), (1, 3)], roots=(4,))
         report = validate_forest(f)
         assert not report.valid
         assert any("excess 0" in v for v in report.violations)
 
     def test_missing_root_reported(self):
-        f = RootedForest(n=22, b=3, edges=WORKED_EDGES, roots=(5, 9, 16))
+        f = RootedForest(n=22, b=3, edges=WORKED_EDGES, roots=(5, 9, 13, 21))
         report = validate_forest(f)
         assert not report.valid
         assert any("0 roots" in v for v in report.violations)
@@ -131,10 +132,12 @@ class TestValidateForest:
         assert any("0 roots" in v for v in report.violations)
 
     def test_shape_arithmetic_reported(self):
+        # the declared n is the one violation: no component of the declared
+        # labels is analysed, so vertex 4 gets no "has 0 roots" line
         f = RootedForest(n=4, b=2, edges=[(1, 2)], roots=(3,))
         report = validate_forest(f)
         assert not report.valid
-        assert any("s(b-1)+k+1" in v for v in report.violations)
+        assert report.violations == ("vertex count n=4 differs from s(b-1)+k+1=2",)
 
     def test_overlapping_pair_reported(self):
         f = RootedForest(
@@ -152,13 +155,18 @@ class TestValidateForest:
         assert any("outside 1..4" in v for v in report.violations)
 
     def test_lists_every_violation(self):
-        f = RootedForest(n=22, b=3, edges=WORKED_EDGES, roots=(5, 9, 16))
+        # root 16 moved into the big tree: one tree with two, one with none
+        f = RootedForest(n=22, b=3, edges=WORKED_EDGES, roots=(5, 9, 13, 21))
         report = validate_forest(f)
-        assert len(report.violations) >= 2  # shape arithmetic and rootless tree
+        assert report.violations == (
+            "component containing vertex 1 has 2 roots, expected exactly 1",
+            "component containing vertex 16 has 0 roots, expected exactly 1",
+        )
 
 
-# forests among small_hypergraphs() whose report has a vertex-pair violation
-PAIR_VIOLATION_FORESTS = 3890
+# forests among small_hypergraphs() whose report has a vertex-pair violation;
+# only those whose n fits s(b-1)+k+1 reach the component analysis
+PAIR_VIOLATION_FORESTS = 150
 
 
 def violations_with_full_pair_scan(forest: RootedForest) -> tuple[str, ...]:
@@ -173,6 +181,7 @@ def violations_with_full_pair_scan(forest: RootedForest) -> tuple[str, ...]:
         and len(set(roots)) == len(roots)
         and all(1 <= r <= n for r in roots)
         and all(len(set(e)) == len(e) == b and e[0] >= 1 and e[-1] <= n for e in edges)
+        and n == len(edges) * (b - 1) + len(roots)
     )
     if not well_formed:
         return violations

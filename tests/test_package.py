@@ -125,6 +125,15 @@ def test_ranking_does_not_use_the_counting_formulas():
     assert "counting" not in names
 
 
+def test_counting_does_not_use_the_code_radices():
+    """The other direction of the guard above.  Both routes take their
+    products from codec.product_levels, which is arithmetic only."""
+    path = Path(hyperforest.__file__).parent / "counting.py"
+    names = _imported_names(ast.parse(path.read_text(encoding="utf-8")))
+    assert "codec" in names
+    assert "ranking" not in names
+
+
 def test_no_json_output_is_indented_by_the_json_module():
     """json.dumps(..., indent=...) runs the pure-Python encoder; the CLI's
     _pretty gives the same bytes from the C encoder."""

@@ -1,6 +1,7 @@
 """Tests for ranking, unranking, uniform sampling, and id generation."""
 
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,31 @@ class TestUnrank:
     def test_rejects_out_of_range_index(self, index):
         with pytest.raises(ParameterRangeError):
             unrank_code(index, ForestShape(b=2, s=2, k=0))
+
+    @pytest.mark.parametrize(
+        "b,s,k,past_end,length,digest",
+        [
+            (3, 2000, 2, False, 13597, "2895ae6424f216ad"),
+            (3, 2000, 2, True, 27143, "201f36bb3d149793"),
+            (2, 1, 0, False, 47, "0502af0a3b781e9f"),
+            (2, 1, 0, True, 46, "075e2aa53d823138"),
+        ],
+    )
+    def test_out_of_range_text_is_pinned(self, b, s, k, past_end, length, digest):
+        # texts recorded from the digit-by-digit unrank; the index -1 and
+        # the code count print in full, so the decimal limit is lifted
+        shape = ForestShape(b=b, s=s, k=k)
+        total = code_space_size(shape)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(ParameterRangeError) as info:
+                unrank_code(total if past_end else -1, shape)
+            text = str(info.value)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert text.endswith(f" for shape (b={b}, s={s}, k={k})")
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()[:16]) == (length, digest)
 
 
 class TestRank:
@@ -269,6 +295,11 @@ class TestGenerateIds:
         codes = generate_ids(shape, 10)
         expected = [unrank_code(i, shape) for i in range(10)]
         assert codes == expected
+
+    @pytest.mark.parametrize("b,s,k,m", [(2, 500, 1, 40), (5, 800, 3, 4), (3, 2000, 2, 4)])
+    def test_equals_unrank_at_large_shapes(self, b, s, k, m):
+        shape = ForestShape(b=b, s=s, k=k)
+        assert generate_ids(shape, m) == [unrank_code(i, shape) for i in range(m)]
 
     def test_zero_ids(self):
         assert generate_ids(ForestShape(b=2, s=2, k=0), 0) == []

@@ -132,10 +132,6 @@ def _print_line(doc: dict[str, Any]) -> None:
     print(_compact(doc))
 
 
-def _fail(code: str, message: str) -> None:
-    sys.stderr.write(_compact({"error": code, "message": message}) + "\n")
-
-
 def _load_json(path: str | None) -> Any:
     try:
         if path is None or path == "-":
@@ -403,6 +399,59 @@ def _cmd_ids(args: argparse.Namespace) -> int:
     return 0
 
 
+def _arg(*flags: str, **spec: Any) -> tuple[tuple[str, ...], dict[str, Any]]:
+    return flags, spec
+
+
+_INPUT = _arg("-i", "--input", default=None, help="input JSON document (default: standard input)")
+_B = _arg("--b", type=int, required=True, help="vertices per hyperedge")
+_S = _arg("--s", type=int, required=True, help="number of hyperedges")
+_K = _arg("--k", type=int, default=None, help="number of trees minus one")
+
+# subcommand -> (handler, help, arguments), in --help order; handlers look up
+# the layers they call at call time, so that a tracer can wrap those names
+_COMMANDS = {
+    "validate": (_cmd_validate, "validate a forest or code document", [_INPUT]),
+    "encode": (_cmd_encode, "forest document to code document", [_INPUT]),
+    "decode": (_cmd_decode, "code document to forest document", [_INPUT]),
+    "count": (_cmd_count, "exact counts from the closed formulas", [
+        _arg("--kind", required=True,
+             choices=["forests", "hypertrees", "hypercycles", "hypercycle-class"]),
+        _B, _S, _K,
+        _arg("--j", type=int, default=None, help="cycle length class"),
+        _arg("--form", choices=["closed", "sum"], default="closed"),
+    ]),
+    "enumerate": (_cmd_enumerate, "exhaustive desk-scale enumeration", [
+        _arg("--kind", required=True, choices=["forests", "codes", "hypercycles"]),
+        _B, _S, _K,
+        _arg("--multiset", action="store_true", help="hypercycles only: allow repeated edges"),
+    ]),
+    "audit": (_cmd_audit, "hypercycle counts side by side", [_B, _S]),
+    "sample": (_cmd_sample, "uniform random forests, seeded", [
+        _B, _S, _K,
+        _arg("--seed", type=int, required=True, help="64-bit unsigned seed"),
+        _arg("--m", type=int, default=1, help="number of draws"),
+    ]),
+    "rank": (_cmd_rank, "canonical index of a code document", [_INPUT]),
+    "unrank": (_cmd_unrank, "code document at a canonical index",
+               [_arg("--index", type=int, required=True), _B, _S, _K]),
+    "ids": (_cmd_ids, "the first m codes, as unique identifiers", [
+        _B, _S, _K, _arg("--m", type=int, required=True, help="number of identifiers"),
+    ]),
+}
+
+# exception type -> (error code, exit status), the README's error contract;
+# an exception takes the entry of its most specific class listed here
+_ERRORS = {
+    _UsageError: ("usage", 2),
+    _DocumentError: ("invalid-document", 1),
+    InvalidStructureError: ("invalid-structure", 1),
+    BudgetExceededError: ("budget", 2),
+    ParameterRangeError: ("range", 2),
+    OSError: ("io", 2),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="hyperforest",
@@ -412,113 +461,24 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_input(p: _Parser) -> None:
-        p.add_argument(
-            "-i",
-            "--input",
-            default=None,
-            help="input JSON document (default: standard input)",
-        )
-
-    def add_shape(p: _Parser, k_required: bool) -> None:
-        p.add_argument("--b", type=int, required=True, help="vertices per hyperedge")
-        p.add_argument("--s", type=int, required=True, help="number of hyperedges")
-        if k_required:
-            p.add_argument(
-                "--k", type=int, default=None, help="number of trees minus one"
-            )
-
-    p = sub.add_parser("validate", help="validate a forest or code document")
-    add_input(p)
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("encode", help="forest document to code document")
-    add_input(p)
-    p.set_defaults(handler=_cmd_encode)
-
-    p = sub.add_parser("decode", help="code document to forest document")
-    add_input(p)
-    p.set_defaults(handler=_cmd_decode)
-
-    p = sub.add_parser("count", help="exact counts from the closed formulas")
-    p.add_argument(
-        "--kind",
-        required=True,
-        choices=["forests", "hypertrees", "hypercycles", "hypercycle-class"],
-    )
-    add_shape(p, k_required=True)
-    p.add_argument("--j", type=int, default=None, help="cycle length class")
-    p.add_argument("--form", choices=["closed", "sum"], default="closed")
-    p.set_defaults(handler=_cmd_count)
-
-    p = sub.add_parser("enumerate", help="exhaustive desk-scale enumeration")
-    p.add_argument("--kind", required=True, choices=["forests", "codes", "hypercycles"])
-    add_shape(p, k_required=True)
-    p.add_argument(
-        "--multiset",
-        action="store_true",
-        help="hypercycles only: allow repeated edges",
-    )
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("audit", help="hypercycle counts side by side")
-    add_shape(p, k_required=False)
-    p.set_defaults(handler=_cmd_audit)
-
-    p = sub.add_parser("sample", help="uniform random forests, seeded")
-    add_shape(p, k_required=True)
-    p.add_argument("--seed", type=int, required=True, help="64-bit unsigned seed")
-    p.add_argument("--m", type=int, default=1, help="number of draws")
-    p.set_defaults(handler=_cmd_sample)
-
-    p = sub.add_parser("rank", help="canonical index of a code document")
-    add_input(p)
-    p.set_defaults(handler=_cmd_rank)
-
-    p = sub.add_parser("unrank", help="code document at a canonical index")
-    p.add_argument("--index", type=int, required=True)
-    add_shape(p, k_required=True)
-    p.set_defaults(handler=_cmd_unrank)
-
-    p = sub.add_parser("ids", help="the first m codes, as unique identifiers")
-    add_shape(p, k_required=True)
-    p.add_argument("--m", type=int, required=True, help="number of identifiers")
-    p.set_defaults(handler=_cmd_ids)
-
+    for name, (handler, help_text, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flags, spec in arguments:
+            command.add_argument(*flags, **spec)
+        command.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        _fail("usage", str(exc))
-        return 2
+        args = _build_parser().parse_args(argv)
+        return args.handler(args)
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
-
-    try:
-        return args.handler(args)
-    except _UsageError as exc:
-        _fail("usage", str(exc))
-        return 2
-    except _DocumentError as exc:
-        _fail("invalid-document", str(exc))
-        return 1
-    except InvalidStructureError as exc:
-        _fail("invalid-structure", str(exc))
-        return 1
-    except BudgetExceededError as exc:
-        _fail("budget", str(exc))
-        return 2
-    except ParameterRangeError as exc:
-        _fail("range", str(exc))
-        return 2
-    except OSError as exc:
-        _fail("io", str(exc))
-        return 2
+    except tuple(_ERRORS) as exc:
+        code, status = next(_ERRORS[cls] for cls in type(exc).__mro__ if cls in _ERRORS)
+        sys.stderr.write(_compact({"error": code, "message": str(exc)}) + "\n")
+        return status
 
 
 if __name__ == "__main__":

@@ -206,7 +206,9 @@ def encode_forest(forest: RootedForest) -> ForestCode:
     a root, becomes final_root.  A heap keyed by smallest block label keeps
     each round at O(b + log s): an edge enters the heap exactly once, when
     the count of its anchor vertices (roots or vertices with more than one
-    incident edge) first drops to one.
+    incident edge) first drops to one.  That anchor is the edge's link and
+    the rest its block, filed under the block's smallest label, so reading
+    the labels in order lists the blocks in canonical order.
 
     The pruning is the validity check: once the arithmetic below holds, a
     pruning of all s edges proves the forest valid, as each pruned edge brings
@@ -223,38 +225,33 @@ def encode_forest(forest: RootedForest) -> ForestCode:
     ):
         _reject(forest, ensure_valid)
 
-    removal_blocks: list[Block] = []
     links: list[VertexId] = []
-    record_block = removal_blocks.append
     record_link = links.append
     try:
-        incidence, live_edge_sum, is_root, anchors, heap = _leaf_scan(n, edges, roots)
+        incidence, live_edge_sum, anchors, link_at, block_at, heap = _leaf_scan(n, edges, roots)
         heapify(heap)
         for _ in range(s):
             i = heappop(heap) % s
-            link = -1
-            block = []
-            for v in edges[i]:
-                if is_root[v] or incidence[v] > 1:
-                    link = v
-                else:
-                    block.append(v)
-            if link < 0:
+            link = link_at[i]
+            left = incidence[link] - 1
+            if left < 1:  # the leaf lost its one anchor
                 _reject(forest, ensure_valid)
+            incidence[link] = left
             record_link(link)
-            record_block(tuple(block))
-            incidence[link] -= 1
             live_edge_sum[link] -= i
-            if incidence[link] == 1 and not is_root[link]:
+            if left == 1:
                 j = live_edge_sum[link]  # the one live edge left at link
                 anchors[j] -= 1
                 if anchors[j] == 1:
-                    key = 0
-                    for u in edges[j]:
-                        if not is_root[u] and incidence[u] == 1:
-                            key = u
+                    e = edges[j]
+                    for u in e:
+                        if incidence[u] > 1:
                             break
-                    heappush(heap, key * s + j)
+                    link_at[j] = u
+                    q = e.index(u)
+                    block = e[:q] + e[q + 1 :]
+                    block_at[block[0]] = block
+                    heappush(heap, block[0] * s + j)
     except IndexError:  # a label above n, or an empty heap before round s
         _reject(forest, ensure_valid)
 
@@ -262,9 +259,10 @@ def encode_forest(forest: RootedForest) -> ForestCode:
     if s == 0:
         return ForestCode(shape, roots, None, (), ())
     final_root = links.pop()
-    if not is_root[final_root]:
+    if incidence[final_root] < 2:  # roots end at 2, every other vertex below
         _reject(forest, ensure_valid)
-    return ForestCode(shape, roots, final_root, tuple(removal_blocks), tuple(links))
+    blocks = tuple(filter(None, block_at))
+    return ForestCode(shape, roots, final_root, blocks, tuple(links))
 
 
 def decode_code(code: ForestCode) -> RootedForest:

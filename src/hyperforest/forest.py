@@ -15,6 +15,8 @@ they hash/compare structurally, so they are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq
 from typing import Iterable, Iterator
 
 from .errors import InvalidStructureError
@@ -42,11 +44,8 @@ class RootedForest:
 
     def __post_init__(self) -> None:
         edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
-        for i in range(1, len(edges)):
-            if edges[i] == edges[i - 1]:
-                raise InvalidStructureError(
-                    f"duplicate hyperedge {list(edges[i])}: edges form a set"
-                )
+        for e in compress(edges[1:], map(eq, edges, edges[1:])):
+            raise InvalidStructureError(f"duplicate hyperedge {list(e)}: edges form a set")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "roots", tuple(sorted(self.roots)))
 
@@ -292,36 +291,44 @@ def ensure_valid(forest: RootedForest) -> None:
 
 
 def _leaf_scan(n: int, edges: tuple[Hyperedge, ...], roots: tuple[VertexId, ...]) -> tuple:
-    """The encoder's initial leaf scan: per vertex the incidence, the sum of
-    the ids of its edges and a root flag; per edge the count of anchors (roots,
-    vertices in several edges); and the one-anchor edges as key * s + edge id,
-    key their smallest non-anchor label.  A label above n raises IndexError.
+    """The encoder's initial leaf scan.
+
+    Per vertex: the incidence and the sum of the ids of its edges.  Per edge:
+    the count of anchors, and the link of a one-anchor edge (a leaf), its one
+    anchor.  Per label: the block of the leaf whose smallest block label it
+    is, the leaf's key.  And the leaves as key * s + edge id.  Roots start at
+    incidence 2, so they never fall below 2 while the pruning takes edges
+    away, and an anchor (a root, or a vertex in several edges) is just a
+    vertex of incidence above 1.  A label above n raises IndexError.
     """
     s = len(edges)
     incidence = [0] * (n + 1)
     live_edge_sum = [0] * (n + 1)
+    for r in roots:
+        incidence[r] = 2
     for i, e in enumerate(edges):
         for v in e:
             incidence[v] += 1
             live_edge_sum[v] += i
-    is_root = bytearray(n + 1)
-    for r in roots:
-        is_root[r] = 1
 
     anchors = [0] * s
+    link_at = [0] * s
+    block_at: list[Hyperedge | None] = [None] * (n + 1)
     leaves: list[int] = []
     for i, e in enumerate(edges):
         c = 0
-        key = 0
         for v in e:
-            if is_root[v] or incidence[v] > 1:
+            if incidence[v] > 1:
                 c += 1
-            elif not key:
-                key = v
+                link = v
         anchors[i] = c
         if c == 1:
-            leaves.append(key * s + i)
-    return incidence, live_edge_sum, is_root, anchors, leaves
+            link_at[i] = link
+            q = e.index(link)
+            block = e[:q] + e[q + 1 :]
+            block_at[block[0]] = block
+            leaves.append(block[0] * s + i)
+    return incidence, live_edge_sum, anchors, link_at, block_at, leaves
 
 
 def leaf_blocks(forest: RootedForest) -> list[LeafBlock]:
@@ -333,10 +340,9 @@ def leaf_blocks(forest: RootedForest) -> list[LeafBlock]:
     because block members lie in a single edge each.
     """
     ensure_valid(forest)
-    incidence, _, is_root, _, leaves = _leaf_scan(forest.n, forest.edges, forest.roots)
-    found = []
-    for entry in sorted(leaves):
-        e = forest.edges[entry % forest.s]
-        link = next(v for v in e if is_root[v] or incidence[v] > 1)
-        found.append(LeafBlock(tuple(v for v in e if v != link), link, e))
-    return found
+    edges, s = forest.edges, forest.s
+    _, _, _, link_at, block_at, leaves = _leaf_scan(forest.n, edges, forest.roots)
+    return [
+        LeafBlock(block_at[entry // s], link_at[entry % s], edges[entry % s])
+        for entry in sorted(leaves)
+    ]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from decimal import Decimal
 from math import comb
 
 from .codec import ForestCode, ForestShape, decode_code, ensure_valid_code, product_levels
@@ -118,7 +119,7 @@ def _unrank(index: int, shape: ForestShape, levels: list[list[int]]) -> ForestCo
     """unrank_code over the shape's radix product tree, built by the caller."""
     if not 0 <= index < levels[-1][0]:
         raise ParameterRangeError(
-            f"index {index} outside 0..{levels[-1][0] - 1} for shape "
+            f"index {Decimal(index)} outside 0..{Decimal(levels[-1][0] - 1)} for shape "
             f"(b={shape.b}, s={shape.s}, k={shape.k})"
         )
     digits = [index]

@@ -5,6 +5,7 @@ the exit status.  Documents are written to temporary files and passed with
 ``-i`` except where the stdin default is the point.
 """
 
+import argparse
 import io
 import json
 import tracemalloc
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from hyperforest import ForestShape, encode_forest, sample_forest
 from hyperforest import cli
 from hyperforest.cli import main
+from perfbench.tracing import CLI_SPANS, Tracer
 from tests.conftest import (
     WORKED_BLOCKS,
     WORKED_EDGES,
@@ -605,6 +607,18 @@ class TestRankUnrank:
         assert status == 2
         assert json.loads(err)["error"] == "range"
 
+    def test_unrank_refusal_past_the_decimal_limit(self, capsys):
+        # the code count of this shape has over 13,000 digits, past the
+        # interpreter's default int_max_str_digits
+        argv = ["unrank", "--index", "-1", "--b", "3", "--s", "2000", "--k", "2"]
+        status, out, err = run_cli(capsys, argv)
+        assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "range"
+        assert error["message"].startswith("index -1 outside 0..")
+
 
 class TestIds:
     def test_full_space_identifiers(self, capsys):
@@ -678,3 +692,104 @@ class TestUsageAndErrors:
         status, out, _ = run_cli(capsys, ["--help"])
         assert status == 0
         assert "usage" in out
+
+
+# subcommands in --help order, each with its help and, per argument other
+# than -h, (option strings, required, default, choices, type, nargs, help)
+INPUT = (("-i", "--input"), False, None, None, None, None,
+         "input JSON document (default: standard input)")
+B = (("--b",), True, None, None, "int", None, "vertices per hyperedge")
+S = (("--s",), True, None, None, "int", None, "number of hyperedges")
+K = (("--k",), False, None, None, "int", None, "number of trees minus one")
+INTERFACE = [
+    ("validate", "validate a forest or code document", [INPUT]),
+    ("encode", "forest document to code document", [INPUT]),
+    ("decode", "code document to forest document", [INPUT]),
+    ("count", "exact counts from the closed formulas", [
+        (("--kind",), True, None, ["forests", "hypertrees", "hypercycles", "hypercycle-class"],
+         None, None, None),
+        B, S, K,
+        (("--j",), False, None, None, "int", None, "cycle length class"),
+        (("--form",), False, "closed", ["closed", "sum"], None, None, None),
+    ]),
+    ("enumerate", "exhaustive desk-scale enumeration", [
+        (("--kind",), True, None, ["forests", "codes", "hypercycles"], None, None, None),
+        B, S, K,
+        (("--multiset",), False, False, None, None, 0, "hypercycles only: allow repeated edges"),
+    ]),
+    ("audit", "hypercycle counts side by side", [B, S]),
+    ("sample", "uniform random forests, seeded", [
+        B, S, K,
+        (("--seed",), True, None, None, "int", None, "64-bit unsigned seed"),
+        (("--m",), False, 1, None, "int", None, "number of draws"),
+    ]),
+    ("rank", "canonical index of a code document", [INPUT]),
+    ("unrank", "code document at a canonical index", [
+        (("--index",), True, None, None, "int", None, None), B, S, K,
+    ]),
+    ("ids", "the first m codes, as unique identifiers", [
+        B, S, K, (("--m",), True, None, None, "int", None, "number of identifiers"),
+    ]),
+]
+
+# (error code, exit status, argv, document written to {doc} or None, budget)
+ERROR_CASES = [
+    ("usage", 2, ["fold"], None, None),
+    ("invalid-document", 1, ["validate", "-i", "{doc}"], {"foo": 1}, None),
+    ("invalid-structure", 1, ["decode", "-i", "{doc}"],
+     dict(WORKED_CODE_DOC, N=list(WORKED_LINKS[:7])), None),
+    ("budget", 2, ["enumerate", "--kind", "forests", "--b", "2", "--s", "2", "--k", "0"],
+     None, "2"),
+    ("range", 2, ["unrank", "--index", "9", "--b", "2", "--s", "2", "--k", "0"], None, None),
+    ("io", 2, ["encode", "-i", "{doc}"], None, None),
+]
+
+
+class TestInterface:
+    def test_parser_is_pinned(self):
+        # read from the parser's actions, not from --help, so that neither
+        # the Python version nor the terminal width changes what is compared
+        parser = cli._build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        helps = {choice.dest: choice.help for choice in sub._choices_actions}
+        found = [
+            (name, helps[name], [
+                (tuple(a.option_strings), a.required, a.default, a.choices,
+                 a.type and a.type.__name__, a.nargs, a.help)
+                for a in command._actions if not isinstance(a, argparse._HelpAction)
+            ])
+            for name, command in sub.choices.items()
+        ]
+        assert found == INTERFACE
+
+    @pytest.mark.parametrize("code,status,argv,doc,budget", ERROR_CASES,
+                             ids=[case[0] for case in ERROR_CASES])
+    def test_error_code_sets_exit_status(self, capsys, tmp_path, monkeypatch,
+                                         code, status, argv, doc, budget):
+        path = tmp_path / "doc.json"
+        if doc is not None:
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        if budget is not None:
+            monkeypatch.setenv("HYPERFOREST_BUDGET", budget)
+        argv = [str(path) if arg == "{doc}" else arg for arg in argv]
+        exit_status, out, err = run_cli(capsys, argv)
+        assert exit_status == status
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == code
+
+    def test_traced_run_opens_every_cli_span(self, capsys, tmp_path):
+        # the benchmark's per-layer view wraps these module globals; a
+        # handler that bound one of them early would drop its span
+        forest = write_doc(tmp_path, "forest.json", WORKED_FOREST_DOC)
+        code = write_doc(tmp_path, "code.json", WORKED_CODE_DOC)
+        tracer = Tracer()
+        with tracer.wrapping(cli, CLI_SPANS):
+            for argv in (
+                ["encode", "-i", forest],
+                ["decode", "-i", code],
+                ["sample", "--b", "2", "--s", "3", "--k", "1", "--seed", "5", "--m", "2"],
+                ["ids", "--b", "2", "--s", "2", "--k", "0", "--m", "2"],
+            ):
+                assert run_cli(capsys, argv)[0] == 0
+        assert {span[0] for span in tracer.spans} == set(CLI_SPANS.values())

@@ -27,6 +27,15 @@ from hyperforest import (
 )
 from tests.conftest import SWEEP_SHAPES
 
+# (b, s, k, past_end, length, sha256 prefix) of the out-of-range refusal
+# text, recorded from the digit-by-digit unrank
+OUT_OF_RANGE_TEXTS = [
+    (3, 2000, 2, False, 13597, "2895ae6424f216ad"),
+    (3, 2000, 2, True, 27143, "201f36bb3d149793"),
+    (2, 1, 0, False, 47, "0502af0a3b781e9f"),
+    (2, 1, 0, True, 46, "075e2aa53d823138"),
+]
+
 
 class TestCodeSpaceSize:
     def test_matches_forest_count_on_grid(self):
@@ -71,15 +80,7 @@ class TestUnrank:
         with pytest.raises(ParameterRangeError):
             unrank_code(index, ForestShape(b=2, s=2, k=0))
 
-    @pytest.mark.parametrize(
-        "b,s,k,past_end,length,digest",
-        [
-            (3, 2000, 2, False, 13597, "2895ae6424f216ad"),
-            (3, 2000, 2, True, 27143, "201f36bb3d149793"),
-            (2, 1, 0, False, 47, "0502af0a3b781e9f"),
-            (2, 1, 0, True, 46, "075e2aa53d823138"),
-        ],
-    )
+    @pytest.mark.parametrize("b,s,k,past_end,length,digest", OUT_OF_RANGE_TEXTS)
     def test_out_of_range_text_is_pinned(self, b, s, k, past_end, length, digest):
         # texts recorded from the digit-by-digit unrank; the index -1 and
         # the code count print in full, so the decimal limit is lifted
@@ -94,6 +95,17 @@ class TestUnrank:
         finally:
             sys.set_int_max_str_digits(limit)
         assert text.endswith(f" for shape (b={b}, s={s}, k={k})")
+        assert (len(text), hashlib.sha256(text.encode()).hexdigest()[:16]) == (length, digest)
+
+    @pytest.mark.parametrize("b,s,k,past_end,length,digest", OUT_OF_RANGE_TEXTS)
+    def test_out_of_range_text_needs_no_decimal_limit(self, b, s, k, past_end, length, digest):
+        # the same texts under the default int_max_str_digits, which the
+        # (3, 2000, 2) code count and its index past the end both exceed
+        shape = ForestShape(b=b, s=s, k=k)
+        index = code_space_size(shape) if past_end else -1
+        with pytest.raises(ParameterRangeError) as info:
+            unrank_code(index, shape)
+        text = str(info.value)
         assert (len(text), hashlib.sha256(text.encode()).hexdigest()[:16]) == (length, digest)
 
 

@@ -29,6 +29,7 @@ variable HYPERFOREST_BUDGET overrides the oracle's candidate budget.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -61,7 +62,11 @@ from .oracle import (
     enumerate_forests,
     enumerate_hypercycles,
 )
-from .ranking import generate_ids, rank_code, sample_forests, unrank_code
+from .ranking import rank_code, unrank_code
+
+# sample and ids iterate the ranking streams, printing each document as it is
+# made; the streams keep the list functions' names, which a tracer wraps
+from .ranking import _id_stream as generate_ids, _sample_stream as sample_forests
 
 
 class _UsageError(Exception):
@@ -452,6 +457,7 @@ _ERRORS = {
 }
 
 
+@functools.cache  # built on the first main call, then reused: parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="hyperforest",

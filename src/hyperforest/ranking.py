@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from collections.abc import Iterator
 from decimal import Decimal
 from math import comb
 
@@ -197,9 +198,17 @@ def _uniform_below(rng: random.Random, bound: int) -> int:
 
 
 def _shuffle(rng: random.Random, values: list[int]) -> None:
-    """Fisher-Yates, descending positions."""
+    """Fisher-Yates, descending positions.
+
+    Each position is _uniform_below(rng, i + 1), inlined: the same bits and
+    the same rejections, so the same draws, with fewer Python calls.
+    """
+    getrandbits = rng.getrandbits
     for i in range(len(values) - 1, 0, -1):
-        j = _uniform_below(rng, i + 1)
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
         values[i], values[j] = values[j], values[i]
 
 
@@ -225,8 +234,16 @@ def _draw_code(shape: ForestShape, rng: random.Random) -> ForestCode:
     blocks = tuple(
         tuple(pool[i * (b - 1) : (i + 1) * (b - 1)]) for i in range(s)
     )
-    links = tuple(1 + _uniform_below(rng, n) for _ in range(s - 1))
-    return ForestCode(shape, roots, final_root, blocks, links)
+    # each link is 1 + _uniform_below(rng, n), inlined as in _shuffle
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
+    links = []
+    for _ in range(s - 1):
+        link = getrandbits(bits)
+        while link >= n:
+            link = getrandbits(bits)
+        links.append(link + 1)
+    return ForestCode(shape, roots, final_root, blocks, tuple(links))
 
 
 def sample_forest(shape: ForestShape, seed: int) -> RootedForest:
@@ -244,11 +261,18 @@ def sample_forests(shape: ForestShape, seed: int, m: int) -> list[RootedForest]:
     The whole sequence is deterministic in the seed; sample_forest(shape, s)
     equals the first entry of sample_forests(shape, s, m).
     """
+    return list(_sample_stream(shape, seed, m))
+
+
+def _sample_stream(shape: ForestShape, seed: int, m: int) -> Iterator[RootedForest]:
+    """sample_forests one forest at a time.  The seed and m are checked on
+    the call, before the first draw; each forest is drawn and decoded as it
+    is read, so a reader holds one forest at a time."""
     _check_seed(seed)
     if m < 0:
         raise ParameterRangeError(f"draw count m={m} must be at least 0")
     rng = random.Random(seed)
-    return [decode_code(_draw_code(shape, rng)) for _ in range(m)]
+    return (decode_code(_draw_code(shape, rng)) for _ in range(m))
 
 
 def generate_ids(shape: ForestShape, m: int) -> list[ForestCode]:
@@ -257,6 +281,13 @@ def generate_ids(shape: ForestShape, m: int) -> list[ForestCode]:
     Distinct by construction, with no repetition check needed; decoding them
     yields m distinct forests, usable as structured unique identifiers.
     """
+    return list(_id_stream(shape, m))
+
+
+def _id_stream(shape: ForestShape, m: int) -> Iterator[ForestCode]:
+    """generate_ids one code at a time.  m is checked against the code count
+    on the call, and the radices' product tree is built once for all m
+    unranks; each code is unranked as it is read."""
     if m < 0:
         raise ParameterRangeError(f"id count m={m} must be at least 0")
     levels = product_levels(_radices(shape))
@@ -265,4 +296,4 @@ def generate_ids(shape: ForestShape, m: int) -> list[ForestCode]:
         raise ParameterRangeError(
             f"requested {m} ids but the shape has only {total} codes"
         )
-    return [_unrank(i, shape, levels) for i in range(m)]
+    return (_unrank(i, shape, levels) for i in range(m))

@@ -8,12 +8,18 @@ the exit status.  Documents are written to temporary files and passed with
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperforest
 from hyperforest import ForestShape, encode_forest, sample_forest
 from hyperforest import cli
 from hyperforest.cli import main
@@ -553,10 +559,39 @@ class TestSample:
         assert first == second
 
     def test_seed_out_of_range(self, capsys):
-        argv = ["sample", "--b", "2", "--s", "2", "--k", "0", "--seed", str(1 << 64)]
-        status, _, err = run_cli(capsys, argv)
+        self.assert_refused(capsys, ["--seed", str(1 << 64)])
+
+    def test_negative_m(self, capsys):
+        self.assert_refused(capsys, ["--seed", "1", "--m", "-1"])
+
+    @staticmethod
+    def assert_refused(capsys, flags):
+        # the stream checks the seed and m before its first draw
+        status, out, err = run_cli(capsys, ["sample", "--b", "2", "--s", "2", "--k", "0", *flags])
         assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1
         assert json.loads(err)["error"] == "range"
+
+    def test_memory_does_not_grow_with_m(self, tmp_path):
+        # each forest is printed once drawn, so m = 1000 peaks where m = 50
+        # does; stdout goes to a file, which holds no output in memory
+        def peak(m):
+            path = tmp_path / f"m{m}.jsonl"
+            argv = ["sample", "--b", "3", "--s", "200", "--k", "3", "--seed", "9", "--m", str(m)]
+            with open(path, "w", encoding="utf-8") as handle, redirect_stdout(handle):
+                tracemalloc.start()
+                try:
+                    status = main(argv)
+                    _, top = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+            assert status == 0
+            assert path.read_bytes().count(b"\n") == m
+            return top
+
+        peak(1)  # the parser is built once per process, outside the peaks
+        assert peak(1000) < 2 * peak(50)
 
 
 class TestRankUnrank:
@@ -631,10 +666,13 @@ class TestIds:
         assert len(set(lines)) == 9
 
     def test_too_many_identifiers(self, capsys):
-        status, _, err = run_cli(
+        # 9 codes in the space: the stream refuses before its first code
+        status, out, err = run_cli(
             capsys, ["ids", "--b", "2", "--s", "2", "--k", "0", "--m", "10"]
         )
         assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1
         assert json.loads(err)["error"] == "range"
 
 
@@ -692,6 +730,23 @@ class TestUsageAndErrors:
         status, out, _ = run_cli(capsys, ["--help"])
         assert status == 0
         assert "usage" in out
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        # the parser is built once per process; each call must still print
+        # what the same call prints in a fresh process
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperforest.__file__).parents[1]))
+        script = "import sys; from hyperforest.cli import main; sys.exit(main(sys.argv[1:]))"
+        calls = [
+            ["sample", "--b", "2", "--s", "3", "--k", "1", "--seed", "5", "--m", "2"],
+            ["sample", "--b", "2", "--s", "3", "--seed", "5", "--m", "two"],
+            ["--help"],
+            ["--help"],
+        ]
+        for argv in calls:
+            fresh = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                                   capture_output=True, text=True, timeout=60)
+            assert run_cli(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 # subcommands in --help order, each with its help and, per argument other

@@ -172,6 +172,7 @@ class TestSampling:
     def test_sequence_extends_single_draw(self):
         shape = ForestShape(b=2, s=3, k=1)
         batch = sample_forests(shape, 777, 4)
+        assert type(batch) is list
         assert len(batch) == 4
         assert batch[0] == sample_forest(shape, 777)
         assert batch == sample_forests(shape, 777, 4)
@@ -207,6 +208,18 @@ class TestGoldenDraws:
             (
                 4, 3, 2, 20260816,
                 (8, 9, 10), 9, ((1, 5, 6), (2, 3, 4), (7, 11, 12)), (8, 6),
+            ),
+            # n = 16 and n = 17, on either side of a power of two, where the
+            # link draws' rejection bound moves
+            (
+                3, 7, 1, 1,
+                (5, 11), 5, ((1, 4), (2, 6), (3, 16), (7, 15), (8, 13), (9, 14), (10, 12)),
+                (15, 9, 8, 4, 11, 1),
+            ),
+            (
+                4, 5, 1, 2,
+                (2, 4), 2, ((1, 3, 9), (5, 8, 16), (6, 11, 12), (7, 13, 14), (10, 15, 17)),
+                (17, 12, 15, 17),
             ),
         ],
     )
@@ -305,6 +318,7 @@ class TestGenerateIds:
     def test_prefix_of_the_enumeration(self):
         shape = ForestShape(b=3, s=2, k=0)
         codes = generate_ids(shape, 10)
+        assert type(codes) is list
         expected = [unrank_code(i, shape) for i in range(10)]
         assert codes == expected
 

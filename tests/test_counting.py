@@ -194,6 +194,50 @@ class TestHypercycleClassCount:
         assert str(info.value) == range_message(b, s, min_s=2)
 
 
+def hypercycle_fraction(b, s, form):
+    """count_hypercycles as reduced rationals: the prefactor times the
+    closed or the sum factor."""
+    n = s * (b - 1)
+    prefactor = Fraction((b - 1) * factorial(n) * n ** (s - 1), 2 * factorial(b - 1) ** s)
+    if form == "closed":
+        factor = Fraction(1, s * factorial(s - 2))
+    else:
+        factor = sum(
+            (Fraction(j, s**j * factorial(s - j)) for j in range(2, s + 1)), Fraction(0)
+        )
+    return prefactor * factor
+
+
+def hypercycle_class_fraction(b, s, j):
+    """hypercycle_class_count as a reduced rational, term by term."""
+    n = s * (b - 1)
+    cycle_part = Fraction(factorial(j * (b - 1)), 2 * factorial(b - 2) ** j)
+    forest_part = Fraction(
+        comb(n, j * (b - 1)) * j * (b - 1) * factorial((s - j) * (b - 1)),
+        factorial(s - j) * factorial(b - 1) ** (s - j),
+    )
+    return forest_part * cycle_part
+
+
+class TestHypercycleRationalForms:
+    """Every hypercycle count equals its formula evaluated term by term in
+    exact rationals, well past the frozen small values."""
+
+    @pytest.mark.parametrize("form", ["closed", "sum"])
+    def test_count_hypercycles(self, form):
+        for b in range(2, 8):
+            for s in range(2, 101):
+                assert count_hypercycles(b, s, form) == hypercycle_fraction(b, s, form)
+
+    def test_hypercycle_class_count(self):
+        for b in range(2, 8):
+            for s in range(2, 41):
+                for j in range(2, s + 1):
+                    assert hypercycle_class_count(b, s, j) == hypercycle_class_fraction(
+                        b, s, j
+                    )
+
+
 class TestCycleSumIdentity:
     def test_known_small_values(self):
         two = cycle_sum_identity(2)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperforest import (
+    Component,
     InvalidStructureError,
     RootedForest,
     component_decomposition,
@@ -101,6 +103,49 @@ class TestComponentDecomposition:
         report = component_decomposition(f)
         everything = sorted(v for c in report for v in c.vertices)
         assert everything == list(range(1, n + 1))
+
+    def test_matches_breadth_first_reference_on_every_small_hypergraph(self):
+        checked = 0
+        for forest in small_hypergraphs():
+            report = component_decomposition(forest)
+            assert report.components == components_by_breadth_first_search(forest), forest
+            checked += 1
+        assert checked == 10_103
+
+
+def components_by_breadth_first_search(forest: RootedForest) -> tuple[Component, ...]:
+    """The components of a well-formed forest, found by breadth-first search
+    from each unvisited vertex in ascending order: vertices ascending, edges
+    in the forest's order, distinct roots counted once."""
+    edges_at: dict[int, list[tuple[int, ...]]] = {}
+    for e in forest.edges:
+        for v in e:
+            edges_at.setdefault(v, []).append(e)
+    seen: set[int] = set()
+    components = []
+    for start in range(1, forest.n + 1):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, members = deque([start]), {start}
+        while queue:
+            v = queue.popleft()
+            for e in edges_at.get(v, ()):
+                for u in e:
+                    if u not in seen:
+                        seen.add(u)
+                        members.add(u)
+                        queue.append(u)
+        comp_edges = tuple(e for e in forest.edges if e[0] in members)
+        components.append(
+            Component(
+                vertices=tuple(sorted(members)),
+                edges=comp_edges,
+                excess=sum(len(e) - 1 for e in comp_edges) - len(members),
+                root_count=len(set(forest.roots) & members),
+            )
+        )
+    return tuple(components)
 
 
 class TestValidateForest:

@@ -5,6 +5,7 @@ these tests pin their outputs on small shapes so the rest of the suite can
 lean on them as ground truth.
 """
 
+import hashlib
 from itertools import combinations
 from math import comb
 
@@ -65,6 +66,41 @@ class TestEnumerateForests:
         # first use, so callers can rely on an early error
         with pytest.raises(BudgetExceededError):
             enumerate_forests(2, 8, 0)
+
+
+def digest(items) -> str:
+    return hashlib.sha256(repr(list(items)).encode()).hexdigest()
+
+
+class TestYieldOrder:
+    """sha256 of the repr of every yielded value, in yield order, so a change
+    to the enumerators' order or values shows."""
+
+    @pytest.mark.parametrize(
+        "b,s,k,count,expected",
+        [
+            (2, 4, 1, 6480, "9985d1c787c71dcf4d74060b7fa1eb959f6926cecbfc95242f40870f9b920f13"),
+            (3, 3, 1, 53760, "2023f4a28cfc449bbfb30f47bbd37e1e2c1d148b3da40e3cb09d545ff9d43697"),
+        ],
+    )
+    def test_enumerate_forests(self, b, s, k, count, expected):
+        forests = list(enumerate_forests(b, s, k))
+        assert len(forests) == count
+        assert digest(forests) == expected
+
+    @pytest.mark.parametrize(
+        "b,s,repeats,count,expected",
+        [
+            (3, 3, False, 480, "580a0d989ac57bffeb91176419f7af9b076ece299138e33f7f51c7bbd94b459d"),
+            (3, 3, True, 480, "580a0d989ac57bffeb91176419f7af9b076ece299138e33f7f51c7bbd94b459d"),
+            (2, 4, False, 15, "bda48c1f9b24abcfe70d3f05432bc9b696ccbeb7a5f6463621c7a3b3e884a413"),
+            (2, 4, True, 63, "eb895e3c430238b248c884e45cce6a8e5fe3f79322933cc88fb4af761ff46de8"),
+        ],
+    )
+    def test_enumerate_hypercycles(self, b, s, repeats, count, expected):
+        cycles = list(enumerate_hypercycles(b, s, repeats))
+        assert len(cycles) == count
+        assert digest(cycles) == expected
 
 
 class TestEnumerateCodeSpace:

@@ -221,6 +221,10 @@ class TestGoldenDraws:
                 (2, 4), 2, ((1, 3, 9), (5, 8, 16), (6, 11, 12), (7, 13, 14), (10, 15, 17)),
                 (17, 12, 15, 17),
             ),
+            # s = 0 returns before the final-root draw, and s = 1 draws no link
+            (3, 0, 2, 5, (1, 2, 3), None, (), ()),
+            (3, 1, 1, 7, (2, 3), 3, ((1, 4),), ()),
+            (2, 1, 2, 20260816, (1, 3, 4), 3, ((2,),), ()),
         ],
     )
     def test_sample_code(self, b, s, k, seed, roots, final_root, blocks, links):

@@ -1,12 +1,13 @@
 """Exact counts of uniform hypertree forests, hypertrees, and hypercycles.
 
-Every function works in exact integer and rational arithmetic (Python int
-and fractions.Fraction); no floating point is used anywhere in this module.
-The forest and hypertree counts are products of factorials and powers of n,
-so they are computed from the exponent of each prime p <= n and multiplied
-over a balanced product tree; a negative exponent fails their integrality
-assertion.  The hypercycle counts are computed as reduced rationals and
-converted to integers with the same assertion.
+Every function works in exact integer arithmetic; no floating point is
+used anywhere in this module.  The forest and hypertree counts are products
+of factorials and powers of n, so they are computed from the exponent of
+each prime p <= n and multiplied over a balanced product tree; a negative
+exponent fails their integrality assertion.  Each hypercycle count is one
+exact integer division of a numerator by a denominator, and a remainder
+fails the same assertion.  fractions.Fraction appears only in the cycle
+sum, the sum form's factor, and in :func:`cycle_sum_identity`.
 
 With n = s*(b-1) + k + 1:
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import comb, factorial, isqrt
+from math import factorial, isqrt
 from typing import Literal, NamedTuple
 
 from .codec import check_shape, product_levels
@@ -41,13 +42,13 @@ from .errors import InvariantViolation, ParameterRangeError
 HypercycleForm = Literal["closed", "sum"]
 
 
-def _as_count(value: Fraction, what: str) -> int:
-    """Convert an exact rational to a non-negative integer count."""
-    if value.denominator != 1:
-        raise InvariantViolation(f"{what} is not an integer: {value}")
-    if value < 0:
-        raise InvariantViolation(f"{what} is negative: {value}")
-    return int(value)
+def _as_count(numerator: int, denominator: int, what: str) -> int:
+    """numerator / denominator (> 0) as a non-negative integer count, exactly."""
+    count, remainder = divmod(numerator, denominator)
+    if remainder or count < 0:
+        problem = "is not an integer" if remainder else "is negative"
+        raise InvariantViolation(f"{what} {problem}: {Fraction(numerator, denominator)}")
+    return count
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -136,31 +137,29 @@ def count_hypercycles(b: int, s: int, form: HypercycleForm = "closed") -> int:
     the factor that multiplies it: 1/(s*(s-2)!) in the closed form,
     sum(j / (s^j * (s-j)!) for j in 2..s) in the sum form.  The two factors
     are computed independently so their agreement stays a meaningful check.
+    Either way the count is one exact division.
     """
     check_shape(b, s, min_s=2)
-    factor = _hypercycle_factor(s, form)
-    n = s * (b - 1)
-    prefactor = Fraction(
-        (b - 1) * factorial(n) * n ** (s - 1), 2 * factorial(b - 1) ** s
-    )
-    return _as_count(
-        prefactor * factor, f"hypercycle count for b={b}, s={s}, form={form}"
-    )
-
-
-def _hypercycle_factor(s: int, form: HypercycleForm) -> Fraction:
-    """The hypercycle count's factor after the prefactor, in either form.
-
-    Closed: 1/(s*(s-2)!).  Sum: sum(j / (s^j * (s-j)!) for j in 2..s).
-    """
     if form == "closed":
-        return Fraction(1, s * factorial(s - 2))
-    if form == "sum":
-        total = Fraction(0)
-        for j in range(2, s + 1):
-            total += Fraction(j, s ** j * factorial(s - j))
-        return total
-    raise ParameterRangeError(f"unknown hypercycle form {form!r}")
+        factor = Fraction(1, s * factorial(s - 2))
+    elif form == "sum":
+        factor = _cycle_sum(s)
+    else:
+        raise ParameterRangeError(f"unknown hypercycle form {form!r}")
+    n = s * (b - 1)
+    return _as_count(
+        (b - 1) * factorial(n) * n ** (s - 1) * factor.numerator,
+        2 * factorial(b - 1) ** s * factor.denominator,
+        f"hypercycle count for b={b}, s={s}, form={form}",
+    )
+
+
+def _cycle_sum(s: int) -> Fraction:
+    """sum(j / (s^j * (s-j)!) for j in 2..s), exactly: the sum form's factor."""
+    total = Fraction(0)
+    for j in range(2, s + 1):
+        total += Fraction(j, s ** j * factorial(s - j))
+    return total
 
 
 def hypercycle_class_count(b: int, s: int, j: int) -> int:
@@ -168,19 +167,16 @@ def hypercycle_class_count(b: int, s: int, j: int) -> int:
 
     Evaluates, on n = s*(b-1) vertices,
     C(n, j*(b-1)) * j*(b-1) * ((s-j)*(b-1))! / ((s-j)! * (b-1)!^(s-j))
-    times (1/2) * (j*(b-1))! / (b-2)!^j, for 2 <= j <= s.
+    times (1/2) * (j*(b-1))! / (b-2)!^j, for 2 <= j <= s.  With m = j*(b-1),
+    C(n, m) * m! * (n-m)! = n!, so this is one exact division of
+    n! * j*(b-1) by 2 * (s-j)! * (b-1)!^(s-j) * (b-2)!^j.
     """
     check_shape(b, s, min_s=2)
     if j < 2 or j > s:
         raise ParameterRangeError(f"cycle length j={j} must lie in 2..{s}")
-    n = s * (b - 1)
-    cycle_part = Fraction(factorial(j * (b - 1)), 2 * factorial(b - 2) ** j)
-    forest_part = Fraction(
-        comb(n, j * (b - 1)) * j * (b - 1) * factorial((s - j) * (b - 1)),
-        factorial(s - j) * factorial(b - 1) ** (s - j),
-    )
     return _as_count(
-        forest_part * cycle_part,
+        factorial(s * (b - 1)) * j * (b - 1),
+        2 * factorial(s - j) * factorial(b - 1) ** (s - j) * factorial(b - 2) ** j,
         f"hypercycle class count for b={b}, s={s}, j={j}",
     )
 
@@ -202,6 +198,6 @@ def cycle_sum_identity(s: int) -> CycleSumIdentity:
     than trust.
     """
     check_shape(b=2, s=s, min_s=2)  # the identity has no edge size
-    lhs = _hypercycle_factor(s, "sum")
-    rhs = _hypercycle_factor(s, "closed")
+    lhs = _cycle_sum(s)
+    rhs = Fraction(1, s * factorial(s - 2))
     return CycleSumIdentity(lhs, rhs, lhs == rhs)

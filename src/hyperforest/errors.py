@@ -18,15 +18,13 @@ class ParameterRangeError(HyperforestError, ValueError):
 class BudgetExceededError(HyperforestError, RuntimeError):
     """An exhaustive enumeration would exceed the configured candidate budget."""
 
-    def __init__(self, candidates: int, budget: int, message: str | None = None):
+    def __init__(self, candidates: int, budget: int):
         self.candidates = candidates
         self.budget = budget
-        if message is None:
-            message = (
-                f"enumeration refused: {candidates} candidate sets exceed "
-                f"the budget of {budget}"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"enumeration refused: {candidates} candidate sets exceed "
+            f"the budget of {budget}"
+        )
 
 
 class InvariantViolation(HyperforestError, RuntimeError):

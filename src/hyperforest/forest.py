@@ -14,6 +14,7 @@ they hash/compare structurally, so they are safe to share across threads.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress
 from operator import eq
@@ -125,8 +126,12 @@ def _edge_violations(n: int, b: int, edges: Iterable[Hyperedge]) -> list[str]:
     return problems
 
 
-def _union_find_components(n: int, edges: tuple[Hyperedge, ...]) -> list[int]:
-    """Per-vertex component representative, computed by union-find."""
+def _components(n: int, edges: Iterable[Hyperedge]) -> list[list[VertexId]]:
+    """The components' vertex lists of a hypergraph on 1..n, by union-find.
+
+    Vertices are grouped in ascending order, so each list is ascending and
+    the lists come in order of their smallest vertex (dict insertion order).
+    """
     parent = list(range(n + 1))
 
     def find(x: int) -> int:
@@ -141,7 +146,10 @@ def _union_find_components(n: int, edges: tuple[Hyperedge, ...]) -> list[int]:
             r1 = find(v)
             if r1 != r0:
                 parent[r1] = r0
-    return [find(v) for v in range(n + 1)]
+    groups: defaultdict[int, list[VertexId]] = defaultdict(list)
+    for v in range(1, n + 1):
+        groups[find(v)].append(v)
+    return list(groups.values())
 
 
 def _group_components(
@@ -149,33 +157,25 @@ def _group_components(
 ) -> list[tuple[list[VertexId], list[Hyperedge], int, int]]:
     """Each component's vertices, edges, excess and number of roots.
 
-    Components come in order of their smallest vertex: vertices are grouped
-    in ascending order, so dict insertion order is already that order.
-    Roots are counted once each, and labels outside 1..n are not counted.
+    Components come in :func:`_components`' order, by smallest vertex.  An
+    edge is filed under the component of its first vertex.  Roots are
+    counted once each, and labels outside 1..n are not counted.
     """
-    rep = _union_find_components(n, edges)
-    vertices: dict[int, list[VertexId]] = {}
-    for v in range(1, n + 1):
-        r = rep[v]
-        if r in vertices:
-            vertices[r].append(v)
-        else:
-            vertices[r] = [v]
-    edges_of: dict[int, list[Hyperedge]] = {r: [] for r in vertices}
+    groups = _components(n, edges)
+    index = [0] * (n + 1)
+    for i, verts in enumerate(groups):
+        for v in verts:
+            index[v] = i
+    edges_of: list[list[Hyperedge]] = [[] for _ in groups]
     for e in edges:
-        edges_of[rep[e[0]]].append(e)
-    root_count = dict.fromkeys(vertices, 0)
+        edges_of[index[e[0]]].append(e)
+    root_count = [0] * len(groups)
     for v in set(roots):
         if 1 <= v <= n:
-            root_count[rep[v]] += 1
+            root_count[index[v]] += 1
     return [
-        (
-            verts,
-            edges_of[r],
-            sum(len(e) - 1 for e in edges_of[r]) - len(verts),
-            root_count[r],
-        )
-        for r, verts in vertices.items()
+        (verts, comp_edges, sum(len(e) - 1 for e in comp_edges) - len(verts), c)
+        for verts, comp_edges, c in zip(groups, edges_of, root_count)
     ]
 
 

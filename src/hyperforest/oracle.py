@@ -16,7 +16,7 @@ from typing import Iterator
 from .codec import Block, ForestCode, ForestShape, check_shape
 from .counting import count_forests, count_hypercycles, hypercycle_class_count
 from .errors import BudgetExceededError
-from .forest import Hyperedge, RootedForest, _union_find_components
+from .forest import Hyperedge, RootedForest, _components
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -27,19 +27,16 @@ def _check_budget(candidates: int, budget: int) -> None:
 
 
 def _forest_components(n: int, edge_set: tuple[Hyperedge, ...]) -> list[list[int]] | None:
-    """Component vertex lists if every component is a hypertree, else None.
+    """Component vertex lists, by smallest vertex, if every component is a
+    hypertree, else None.
 
     All components have excess -1 exactly when the component count equals
     n - s*(b-1), since excesses are >= -1 each and sum to s*(b-1) - n.
     """
-    rep = _union_find_components(n, edge_set)
-    groups: dict[int, list[int]] = {}
-    for v in range(1, n + 1):
-        groups.setdefault(rep[v], []).append(v)
-    covered = sum(len(e) - 1 for e in edge_set)
-    if len(groups) != n - covered:
+    groups = _components(n, edge_set)
+    if len(groups) != n - sum(len(e) - 1 for e in edge_set):
         return None
-    return [groups[r] for r in sorted(groups, key=lambda r: groups[r][0])]
+    return groups
 
 
 def enumerate_forests(
@@ -146,9 +143,7 @@ def enumerate_hypercycles(
     def generate() -> Iterator[tuple[Hyperedge, ...]]:
         all_edges = list(combinations(range(1, n + 1), b))
         for edge_set in chooser(all_edges, s):
-            rep = _union_find_components(n, edge_set)
-            first = rep[1]
-            if all(rep[v] == first for v in range(2, n + 1)):
+            if len(_components(n, edge_set)) == 1:
                 yield edge_set
 
     return generate()

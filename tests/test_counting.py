@@ -22,7 +22,7 @@ from hyperforest import (
     cycle_sum_identity,
     hypercycle_class_count,
 )
-from hyperforest.counting import _factorial_quotient
+from hyperforest.counting import _as_count, _factorial_quotient
 from tests.conftest import range_message
 
 
@@ -99,6 +99,24 @@ class TestFactorialQuotient:
         with pytest.raises(InvariantViolation) as info:
             _factorial_quotient(3, 0, [(1, 1), (2, -1)], "half")
         assert str(info.value) == "half is not an integer: prime 2 has exponent -1"
+
+
+class TestAsCount:
+    def test_exact_quotient(self):
+        assert _as_count(12, 4, "q") == 3
+
+    @pytest.mark.parametrize(
+        "numerator,denominator,text",
+        [
+            (6, 4, "q is not an integer: 3/2"),
+            (-7, 2, "q is not an integer: -7/2"),
+            (-4, 2, "q is negative: -2"),
+        ],
+    )
+    def test_failures_show_the_reduced_fraction(self, numerator, denominator, text):
+        with pytest.raises(InvariantViolation) as info:
+            _as_count(numerator, denominator, "q")
+        assert str(info.value) == text
 
 
 class TestCountRootedHypertrees:

@@ -55,6 +55,10 @@ class TestEnumerateForests:
             enumerate_forests(2, 8, 0)
         assert info.value.candidates == comb(comb(9, 2), 8)
         assert info.value.budget == 10_000_000
+        assert str(info.value) == (
+            f"enumeration refused: {comb(comb(9, 2), 8)} candidate sets exceed "
+            f"the budget of 10000000"
+        )
 
     def test_budget_can_be_overridden(self):
         with pytest.raises(BudgetExceededError):

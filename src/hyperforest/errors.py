@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from decimal import Decimal
+
 
 class HyperforestError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,9 +23,10 @@ class BudgetExceededError(HyperforestError, RuntimeError):
     def __init__(self, candidates: int, budget: int):
         self.candidates = candidates
         self.budget = budget
+        # Decimal words an int of any size, str() only up to 4300 digits
         super().__init__(
-            f"enumeration refused: {candidates} candidate sets exceed "
-            f"the budget of {budget}"
+            f"enumeration refused: {Decimal(candidates)} candidate sets exceed "
+            f"the budget of {Decimal(budget)}"
         )
 
 

@@ -14,9 +14,9 @@ they hash/compare structurally, so they are safe to share across threads.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from operator import eq
 from typing import Iterable, Iterator
 
@@ -126,11 +126,14 @@ def _edge_violations(n: int, b: int, edges: Iterable[Hyperedge]) -> list[str]:
     return problems
 
 
-def _components(n: int, edges: Iterable[Hyperedge]) -> list[list[VertexId]]:
-    """The components' vertex lists of a hypergraph on 1..n, by union-find.
+def _union_find(n: int, edges: Iterable[Hyperedge]) -> tuple:
+    """The parent list, find, and closing vertices of a hypergraph on 1..n.
 
-    Vertices are grouped in ascending order, so each list is ascending and
-    the lists come in order of their smallest vertex (dict insertion order).
+    A union keeps the smaller head and find halves paths, so each component's
+    head, the v with ``parent[v] == v``, is its smallest vertex.  A closing
+    vertex is an edge vertex, after the first, already in its edge's
+    component: of the sum(|e| - 1) merges tried in a component of V vertices,
+    V - 1 succeed and each other meets one, so excess x means x + 1 of them.
     """
     parent = list(range(n + 1))
 
@@ -140,52 +143,39 @@ def _components(n: int, edges: Iterable[Hyperedge]) -> list[list[VertexId]]:
             x = parent[x]
         return x
 
+    closing = []
     for e in edges:
         r0 = find(e[0])
         for v in e[1:]:
             r1 = find(v)
-            if r1 != r0:
+            if r1 == r0:
+                closing.append(v)
+            elif r1 < r0:
+                parent[r0] = r1
+                r0 = r1
+            else:
                 parent[r1] = r0
+    return parent, find, closing
+
+
+def _components(n: int, edges: Iterable[Hyperedge]) -> list[list[VertexId]]:
+    """The components' vertex lists of a hypergraph on 1..n, each ascending,
+    in order of their smallest vertex (dict insertion order)."""
+    _, find, _ = _union_find(n, edges)
     groups: defaultdict[int, list[VertexId]] = defaultdict(list)
     for v in range(1, n + 1):
         groups[find(v)].append(v)
     return list(groups.values())
 
 
-def _group_components(
-    n: int, edges: tuple[Hyperedge, ...], roots: Iterable[VertexId]
-) -> list[tuple[list[VertexId], list[Hyperedge], int, int]]:
-    """Each component's vertices, edges, excess and number of roots.
-
-    Components come in :func:`_components`' order, by smallest vertex.  An
-    edge is filed under the component of its first vertex.  Roots are
-    counted once each, and labels outside 1..n are not counted.
-    """
-    groups = _components(n, edges)
-    index = [0] * (n + 1)
-    for i, verts in enumerate(groups):
-        for v in verts:
-            index[v] = i
-    edges_of: list[list[Hyperedge]] = [[] for _ in groups]
-    for e in edges:
-        edges_of[index[e[0]]].append(e)
-    root_count = [0] * len(groups)
-    for v in set(roots):
-        if 1 <= v <= n:
-            root_count[index[v]] += 1
-    return [
-        (verts, comp_edges, sum(len(e) - 1 for e in comp_edges) - len(verts), c)
-        for verts, comp_edges, c in zip(groups, edges_of, root_count)
-    ]
-
-
 def component_decomposition(forest: RootedForest) -> ComponentReport:
     """Split a forest into connected components with excess and root counts.
 
-    Isolated vertices form singleton components of excess -1.  Raises
-    InvalidStructureError when a hyperedge is malformed (wrong size, label
-    out of 1..n, repeated label inside the edge); all component-level rules
-    are reported, not raised, by :func:`validate_forest`.
+    Components come by smallest vertex; an edge is filed under the component
+    of its first vertex.  Isolated vertices form singleton components of
+    excess -1.  Raises InvalidStructureError when a hyperedge is malformed
+    (wrong size, label out of 1..n, repeated label inside the edge); all
+    component-level rules are reported, not raised, by :func:`validate_forest`.
     """
     n, b, edges = forest.n, forest.b, forest.edges
     if n < 1:
@@ -194,14 +184,16 @@ def component_decomposition(forest: RootedForest) -> ComponentReport:
     if problems:
         raise InvalidStructureError("malformed hyperedge: " + "; ".join(problems))
 
-    return ComponentReport(
-        tuple(
-            Component(tuple(verts), tuple(comp_edges), excess, root_count)
-            for verts, comp_edges, excess, root_count in _group_components(
-                n, edges, forest.roots
-            )
-        )
-    )
+    groups = _components(n, edges)
+    index = {v: i for i, verts in enumerate(groups) for v in verts}
+    edges_of: list[list[Hyperedge]] = [[] for _ in groups]
+    for e in edges:
+        edges_of[index[e[0]]].append(e)
+    roots_in = Counter(index[v] for v in set(forest.roots) if 1 <= v <= n)
+    return ComponentReport(tuple(
+        Component(tuple(verts), tuple(es), sum(len(e) - 1 for e in es) - len(verts), roots_in[i])
+        for i, (verts, es) in enumerate(zip(groups, edges_of))
+    ))
 
 
 def validate_forest(forest: RootedForest) -> ValidationReport:
@@ -217,7 +209,9 @@ def validate_forest(forest: RootedForest) -> ValidationReport:
     The last rule can only fail where the excess rule has failed too: a
     component of excess -1 is a hypertree, which is Berge-acyclic, so no
     two of its edges share two vertices.  Its scan over vertex pairs runs
-    only after an excess violation.
+    only after an excess violation.  Validity is read from counts, with no
+    component listed: at each head of :func:`_union_find`, its closing
+    vertices and its roots.
     """
     n, b, edges, roots = forest.n, forest.b, forest.edges, forest.roots
     s, k = forest.s, forest.k
@@ -246,24 +240,25 @@ def validate_forest(forest: RootedForest) -> ValidationReport:
         # per declared vertex rather than per document entry
         return ValidationReport(False, tuple(violations), s, k)
 
-    cyclic = False
-    for verts, _, excess, c in _group_components(n, edges, roots):
-        if excess != -1:
-            cyclic = True
+    parent, find, closing = _union_find(n, edges)
+    closed = Counter(map(find, closing))
+    rooted = Counter(map(find, roots))
+    # the heads in ascending order, without copying parent; 0 is no vertex
+    heads = compress(range(n + 1), map(eq, parent, range(n + 1)))
+    for v in islice(heads, 1, None):
+        if closed[v]:
             violations.append(
-                f"component containing vertex {verts[0]} has excess "
-                f"{excess}, expected -1"
+                f"component containing vertex {v} has excess {closed[v] - 1}, expected -1"
             )
-        if c != 1:
+        if rooted[v] != 1:
             violations.append(
-                f"component containing vertex {verts[0]} has {c} roots, "
-                f"expected exactly 1"
+                f"component containing vertex {v} has {rooted[v]} roots, expected exactly 1"
             )
 
     # two edges sharing two vertices u, v close the Berge cycle u-e-v-f-u,
     # and a connected component has excess -1 exactly when it has no Berge
     # cycle: with every excess at -1 the pair scan cannot find anything
-    if cyclic:
+    if closing:
         seen_pairs: set[int] = set()
         stride = n + 1
         for e in edges:

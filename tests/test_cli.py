@@ -518,6 +518,26 @@ class TestEnumerate:
         assert status == 2
         assert json.loads(err)["error"] == "range"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "forests", "--b", "3", "--s", "2000", "--k", "0"],
+            ["--kind", "hypercycles", "--b", "3", "--s", "1000"],
+        ],
+        ids=["forests", "hypercycles"],
+    )
+    def test_refusal_past_4300_digits_is_one_budget_line(self, capsys, argv):
+        # the candidate count has thousands of digits, more than str() of an
+        # int may write, and the refusal still reads as the contract says
+        status, out, err = run_cli(capsys, ["enumerate"] + argv)
+        assert status == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        error = json.loads(err)
+        assert error["error"] == "budget"
+        count = error["message"].split()[2]
+        assert count.isdigit() and len(count) > 4300
+
 
 class TestAudit:
     def test_worked_audit(self, capsys):

@@ -257,6 +257,72 @@ class TestPairScanRunsOnlyAfterAnExcessViolation:
         assert validate_forest(forest).violations == violations_with_full_pair_scan(forest)
 
 
+@st.composite
+def mid_sized_hypergraphs(draw):
+    """Well-formed hypergraphs of up to 80 vertices whose n fits
+    s(b-1)+k+1: hypertrees, some of them closed into cycles or joined by
+    extra edges, with 0-2 roots per component and labels shuffled, so that
+    no component is a run of consecutive labels."""
+    b = draw(st.integers(2, 4))
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        first = n + 1
+        n += 1
+        for _ in range(draw(st.integers(0, 3))):
+            anchor = draw(st.integers(first, n))
+            edges.append((anchor, *range(n + 1, n + b)))
+            n += b - 1
+    if n >= b:
+        extra_edge = st.lists(st.integers(1, n), min_size=b, max_size=b, unique=True)
+        for extra in draw(st.lists(extra_edge, max_size=3)):
+            if tuple(sorted(extra)) not in {tuple(sorted(e)) for e in edges}:
+                edges.append(tuple(extra))
+    # n - s(b-1) roots are needed, and at least one: each isolated vertex
+    # added needs one more
+    n += max(0, 1 - (n - len(edges) * (b - 1)))
+    relabel = (0, *draw(st.permutations(range(1, n + 1))))
+    edges = [tuple(relabel[v] for v in e) for e in edges]
+    unrooted = RootedForest(n=n, b=b, edges=edges, roots=())
+    components = components_by_breadth_first_search(unrooted)
+    # at most min(2, size) roots each, at least one per component in all,
+    # and n - s(b-1), the sum of minus the excesses, is at most that
+    most = [min(2, len(comp.vertices)) for comp in components]
+    counts = [draw(st.integers(0, m)) for m in most]
+    needed = n - len(edges) * (b - 1)
+    while sum(counts) > needed:
+        counts[next(i for i, c in enumerate(counts) if c)] -= 1
+    while sum(counts) < needed:
+        counts[next(i for i, (c, m) in enumerate(zip(counts, most)) if c < m)] += 1
+    roots = []
+    for comp, c in zip(components, counts):
+        roots.extend(draw(st.permutations(comp.vertices))[:c])
+    return RootedForest(n=n, b=b, edges=edges, roots=roots)
+
+
+class TestComponentViolationsMatchBreadthFirstSearch:
+    """validate_forest reads excess and roots from union-find counts; here
+    they are checked against components found by breadth-first search, at
+    sizes the exhaustive small_hypergraphs() sweep never reaches."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mid_sized_hypergraphs())
+    def test_component_violations(self, forest):
+        expected = []
+        for comp in components_by_breadth_first_search(forest):
+            head = comp.vertices[0]
+            if comp.excess != -1:
+                expected.append(
+                    f"component containing vertex {head} has excess {comp.excess}, expected -1"
+                )
+            if comp.root_count != 1:
+                expected.append(
+                    f"component containing vertex {head} has {comp.root_count} roots, "
+                    f"expected exactly 1"
+                )
+        violations = validate_forest(forest).violations
+        assert [v for v in violations if not v.startswith("vertices ")] == expected
+
+
 class TestLeafBlocks:
     def test_worked_forest_initial_leaves(self, worked_forest):
         found = [(lb.block, lb.link) for lb in leaf_blocks(worked_forest)]

@@ -6,6 +6,7 @@ lean on them as ground truth.
 """
 
 import hashlib
+from decimal import Decimal
 from itertools import combinations
 from math import comb
 
@@ -59,6 +60,18 @@ class TestEnumerateForests:
             f"enumeration refused: {comb(comb(9, 2), 8)} candidate sets exceed "
             f"the budget of 10000000"
         )
+
+    def test_budget_refusal_words_a_count_past_4300_digits(self):
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_forests(3, 2000, 0)
+        candidates = comb(comb(4001, 3), 2000)
+        assert info.value.candidates == candidates
+        head, tail = "enumeration refused: ", " candidate sets exceed the budget of 10000000"
+        text = str(info.value)
+        assert text.startswith(head) and text.endswith(tail)
+        count = text[len(head):-len(tail)]
+        assert len(count) > 4300
+        assert Decimal(count) == candidates
 
     def test_budget_can_be_overridden(self):
         with pytest.raises(BudgetExceededError):
@@ -220,6 +233,13 @@ class TestAuditHypercycles:
     def test_notes_flag_the_unreconciled_families(self):
         report = audit_hypercycles(3, 2)
         assert "no equality across families" in report.notes
+
+    def test_exhaustive_counts_skipped_past_4300_candidate_digits(self):
+        # the refusal inside the audit words a count str() cannot write
+        report = audit_hypercycles(3, 1000)
+        assert report.set_count is None
+        assert report.multiset_count is None
+        assert report.notes.endswith("exhaustive counts skipped, shape exceeds the budget")
 
     def test_exhaustive_counts_skipped_over_budget(self):
         # with a tiny budget the formula columns still fill in; the

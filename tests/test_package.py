@@ -2,6 +2,7 @@
 its values carry no state beyond what their constructors set."""
 
 import ast
+import sys
 from pathlib import Path
 
 import hyperforest
@@ -103,6 +104,20 @@ def test_no_validity_flag_rides_on_values():
             assert "_known_valid" not in names, (path.name, ast.dump(node))
 
 
+def test_runtime_imports_are_stdlib_or_the_package():
+    """The package needs nothing beyond the standard library at runtime."""
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                assert top in sys.stdlib_module_names, (path.name, node.lineno, module)
+
 
 def _imported_names(tree: ast.AST) -> set[str]:
     """Every dotted component of the modules and names a source imports."""
@@ -170,3 +185,20 @@ def test_codec_directions_run_no_separate_validation_pass():
             used = getattr(node, "id", None) or getattr(node, "attr", None)
             if used in checkers:
                 assert id(node) in handed_over, (name, used, node.lineno)
+
+
+def test_validate_forest_counts_and_does_not_group():
+    """validate_forest reads excess and roots from the union-find's counts;
+    the vertex lists of _components serve the oracle and
+    component_decomposition only."""
+    path = Path(hyperforest.__file__).parent / "forest.py"
+    (function,) = (
+        node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "validate_forest"
+    )
+    used = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for node in ast.walk(function)
+    }
+    assert "_union_find" in used
+    assert not used & {"_components", "component_decomposition"}

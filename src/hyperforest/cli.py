@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -89,12 +90,12 @@ _compact = json.JSONEncoder(separators=(",", ":")).encode
 
 def _pretty(value: Any, indent: str = "") -> str:
     """json.dumps(value, indent=2), byte for byte, for values made of dicts
-    with string keys, lists and scalars.  That call runs the pure-Python
-    encoder, because the C encoder has no indent; here lists of integers,
-    and lists of non-empty lists of integers, are encoded by the C encoder
-    and re-indented with str.replace, which is safe because integers
-    contain no brackets or commas.  ``indent`` is the indentation of the
-    line ``value`` starts on.
+    with string keys, lists or tuples (both print as arrays) and scalars.
+    That call runs the pure-Python encoder, because the C encoder has no
+    indent; here arrays of integers, and arrays of non-empty arrays of
+    integers, are encoded by the C encoder and re-indented with
+    str.replace, which is safe because integers contain no brackets or
+    commas.  ``indent`` is the indentation of the line ``value`` starts on.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -105,7 +106,7 @@ def _pretty(value: Any, indent: str = "") -> str:
             for key, item in value.items()
         )
         return f"{{\n{items}\n{indent}}}"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         types = set(map(type, value))
@@ -113,7 +114,7 @@ def _pretty(value: Any, indent: str = "") -> str:
             body = _compact(value)[1:-1].replace(",", ",\n" + inner)
             return f"[\n{inner}{body}\n{indent}]"
         if (
-            types == {list}
+            types <= {list, tuple}
             and all(value)
             and set(map(type, chain.from_iterable(value))) == {int}
         ):
@@ -164,20 +165,22 @@ def _require(doc: Any, key: str, kind: type, what: str) -> Any:
     return value
 
 
-def _int_list(values: Any, what: str) -> tuple[int, ...]:
+# the intake checks types and hands the parsed lists on: the constructors
+# build the canonical tuples
+def _int_list(values: Any, what: str) -> list[int]:
     # type() and not isinstance(): bool is an int subclass, and json.loads
     # returns no other subclass of int
     if not isinstance(values, list) or not set(map(type, values)) <= {int}:
         raise _DocumentError(f"{what} must be a list of integers")
-    return tuple(values)
+    return values
 
 
-def _int_lists(values: list, what: str) -> tuple[tuple[int, ...], ...]:
+def _int_lists(values: list, what: str) -> list[list[int]]:
     if not set(map(type, values)) <= {list} or not set(
         map(type, chain.from_iterable(values))
     ) <= {int}:
         raise _DocumentError(f"{what} must be a list of integers")
-    return tuple(map(tuple, values))
+    return values
 
 
 def forest_from_document(doc: Any) -> RootedForest:
@@ -185,17 +188,13 @@ def forest_from_document(doc: Any) -> RootedForest:
     b = _require(doc, "b", int, "forest")
     edges = _require(doc, "edges", list, "forest")
     roots = _require(doc, "roots", list, "forest")
-    edge_tuples = _int_lists(edges, "each edge")
-    return RootedForest(n=n, b=b, edges=edge_tuples, roots=_int_list(roots, "roots"))
+    edges = _int_lists(edges, "each edge")
+    return RootedForest(n=n, b=b, edges=edges, roots=_int_list(roots, "roots"))
 
 
+# the documents hold the values' own tuples, which json prints as arrays
 def forest_to_document(forest: RootedForest) -> dict[str, Any]:
-    return {
-        "n": forest.n,
-        "b": forest.b,
-        "edges": [list(e) for e in forest.edges],
-        "roots": list(forest.roots),
-    }
+    return {"n": forest.n, "b": forest.b, "edges": forest.edges, "roots": forest.roots}
 
 
 def code_from_document(doc: Any) -> ForestCode:
@@ -214,8 +213,7 @@ def code_from_document(doc: Any) -> ForestCode:
         shape = ForestShape(b=b, s=s, k=k)
     except ParameterRangeError as exc:
         raise _DocumentError(f"code document shape is invalid: {exc}") from exc
-    block_tuples = _int_lists(blocks, "each block")
-    return ForestCode(shape, roots, final_root, block_tuples, links)
+    return ForestCode(shape, roots, final_root, _int_lists(blocks, "each block"), links)
 
 
 def code_to_document(code: ForestCode) -> dict[str, Any]:
@@ -223,10 +221,10 @@ def code_to_document(code: ForestCode) -> dict[str, Any]:
         "b": code.shape.b,
         "s": code.shape.s,
         "k": code.shape.k,
-        "R": list(code.roots),
+        "R": code.roots,
         "r": code.final_root,
-        "P": [list(blk) for blk in code.blocks],
-        "N": list(code.links),
+        "P": code.blocks,
+        "N": code.links,
     }
 
 
@@ -271,7 +269,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             "valid": report.valid,
             "s": report.s,
             "k": report.k,
-            "violations": list(report.violations),
+            "violations": report.violations,
         }
     )
     return 0 if report.valid else 1
@@ -315,11 +313,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _hypercycle_to_document(edges: tuple[Hyperedge, ...]) -> dict[str, Any]:
     b = len(edges[0])
-    return {
-        "n": len(edges) * (b - 1),
-        "b": b,
-        "edges": [list(e) for e in edges],
-    }
+    return {"n": len(edges) * (b - 1), "b": b, "edges": edges}
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
@@ -476,6 +470,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # commands build acyclic lists and tuples of ints, on which the cyclic
+    # collector frees nothing: pause it, and leave it as the caller had it
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         args = _build_parser().parse_args(argv)
         return args.handler(args)
@@ -485,6 +483,9 @@ def main(argv: list[str] | None = None) -> int:
         code, status = next(_ERRORS[cls] for cls in type(exc).__mro__ if cls in _ERRORS)
         sys.stderr.write(_compact({"error": code, "message": str(exc)}) + "\n")
         return status
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

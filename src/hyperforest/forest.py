@@ -208,10 +208,10 @@ def validate_forest(forest: RootedForest) -> ValidationReport:
 
     The last rule can only fail where the excess rule has failed too: a
     component of excess -1 is a hypertree, which is Berge-acyclic, so no
-    two of its edges share two vertices.  Its scan over vertex pairs runs
-    only after an excess violation.  Validity is read from counts, with no
-    component listed: at each head of :func:`_union_find`, its closing
-    vertices and its roots.
+    two of its edges share two vertices.  Its scan over vertex pairs reads
+    only the edges of components with an excess violation.  Validity is
+    read from counts, with no component listed: at each head of
+    :func:`_union_find`, its closing vertices and its roots.
     """
     n, b, edges, roots = forest.n, forest.b, forest.edges, forest.roots
     s, k = forest.s, forest.k
@@ -257,11 +257,14 @@ def validate_forest(forest: RootedForest) -> ValidationReport:
 
     # two edges sharing two vertices u, v close the Berge cycle u-e-v-f-u,
     # and a connected component has excess -1 exactly when it has no Berge
-    # cycle: with every excess at -1 the pair scan cannot find anything
+    # cycle: the pair scan needs only the edges of components that have a
+    # closing vertex, and a pair never spans two components
     if closing:
         seen_pairs: set[int] = set()
         stride = n + 1
         for e in edges:
+            if not closed[find(e[0])]:
+                continue
             for i in range(len(e)):
                 for j in range(i + 1, len(e)):
                     key = e[i] * stride + e[j]

@@ -6,6 +6,7 @@ the exit status.  Documents are written to temporary files and passed with
 """
 
 import argparse
+import gc
 import io
 import json
 import os
@@ -261,15 +262,23 @@ JSON_INTS = st.one_of(
     st.integers(max_value=-(2**64), min_value=-(2**200)),
 )
 JSON_SCALARS = st.one_of(JSON_INTS, st.booleans(), st.none(), st.text(), st.floats())
+
+
+def json_arrays(elements, **sizes):
+    """Lists or tuples of the elements: json prints both as arrays, and the
+    CLI's documents hold the values' own tuples."""
+    return st.one_of(st.lists(elements, **sizes), st.lists(elements, **sizes).map(tuple))
+
+
 JSON_DOCUMENTS = st.recursive(
     st.one_of(
         JSON_SCALARS,
-        st.lists(JSON_INTS),
-        st.lists(st.lists(JSON_INTS)),
-        st.lists(st.lists(st.one_of(JSON_INTS, st.booleans(), st.none(), st.text()))),
+        json_arrays(JSON_INTS),
+        json_arrays(json_arrays(JSON_INTS)),
+        json_arrays(json_arrays(st.one_of(JSON_INTS, st.booleans(), st.none(), st.text()))),
     ),
     lambda children: st.one_of(
-        st.lists(children, max_size=4), st.dictionaries(st.text(), children, max_size=4)
+        json_arrays(children, max_size=4), st.dictionaries(st.text(), children, max_size=4)
     ),
     max_leaves=30,
 )
@@ -767,6 +776,68 @@ class TestUsageAndErrors:
             fresh = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                                    capture_output=True, text=True, timeout=60)
             assert run_cli(capsys, argv) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+# one call per way out of main: success, each error code of cli._ERRORS,
+# --help, and an exception outside _ERRORS (str() past 4300 digits)
+EXITS = {
+    "success": (["count", "--kind", "forests", "--b", "3", "--s", "2", "--k", "0"], 0, None),
+    "usage": (["fold"], 2, "usage"),
+    "invalid-document": (["validate", "-i", "{dir}/not-json.json"], 1, "invalid-document"),
+    "invalid-structure": (["encode", "-i", "{dir}/cycle.json"], 1, "invalid-structure"),
+    "budget": (["enumerate", "--kind", "forests", "--b", "3", "--s", "9", "--k", "0"], 2, "budget"),
+    "range": (["count", "--kind", "forests", "--b", "1", "--s", "2", "--k", "0"], 2, "range"),
+    "io": (["encode", "-i", "{dir}/absent.json"], 2, "io"),
+    "help": (["--help"], 0, None),
+    "uncaught": (["count", "--kind", "forests", "--b", "3", "--s", "2000", "--k", "0"], None, None),
+}
+
+
+class TestCollectorState:
+    """main pauses the cyclic collector while it runs and leaves it as the
+    caller had it, on every way out."""
+
+    def test_every_error_code_has_a_call(self):
+        assert {code for _, _, code in EXITS.values()} - {None} == {
+            code for code, _ in cli._ERRORS.values()
+        }
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("exit_name", list(EXITS))
+    def test_state_is_restored(self, capsys, tmp_path, exit_name, enabled):
+        argv, status, code = EXITS[exit_name]
+        (tmp_path / "not-json.json").write_text("{", encoding="utf-8")
+        write_doc(tmp_path, "cycle.json", {"n": 3, "b": 2, "edges": [[1, 2], [2, 3], [1, 3]],
+                                           "roots": [1]})
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if status is None:
+                with pytest.raises(ValueError):
+                    main(argv)
+            else:
+                assert main(argv) == status
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        err = capsys.readouterr().err
+        if code is not None:
+            assert json.loads(err)["error"] == code
+
+    def test_collector_is_paused_during_the_call(self, capsys, monkeypatch, tmp_path):
+        seen = []
+        load = cli._load_json
+
+        def spy(path):
+            seen.append(gc.isenabled())
+            return load(path)
+
+        monkeypatch.setattr(cli, "_load_json", spy)
+        path = write_doc(tmp_path, "forest.json", WORKED_FOREST_DOC)
+        assert gc.isenabled()
+        status, _, _ = run_cli(capsys, ["encode", "-i", path])
+        assert (status, seen, gc.isenabled()) == (0, [False], True)
 
 
 # subcommands in --help order, each with its help and, per argument other

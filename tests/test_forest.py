@@ -258,6 +258,50 @@ class TestPairScanRunsOnlyAfterAnExcessViolation:
 
 
 @st.composite
+def forests_with_repeated_pairs(draw):
+    """Well-formed hypergraphs, b in 3..5, of up to 8 hypertrees, plus 1-3
+    edges that each copy two vertices of an earlier edge and take the rest
+    from outside it, so that vertex pairs repeat inside a tree or across
+    the trees an extra edge joins; labels shuffled, n fitted to s(b-1)+k+1
+    and the roots drawn at random."""
+    b = draw(st.integers(3, 5))
+    edges, n = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        first = n + 1
+        n += 1
+        for _ in range(draw(st.integers(1, 4))):
+            anchor = draw(st.integers(first, n))
+            edges.append((anchor, *range(n + 1, n + b)))
+            n += b - 1
+    for _ in range(draw(st.integers(1, 3))):
+        base = draw(st.sampled_from(edges))
+        # the rest lies outside base, up to b - 2 labels above n
+        rest = draw(st.lists(st.integers(1, n + b - 2).filter(lambda v: v not in base),
+                             min_size=b - 2, max_size=b - 2, unique=True))
+        extra = tuple(sorted((*draw(st.permutations(base))[:2], *rest)))
+        if extra not in {tuple(sorted(e)) for e in edges}:
+            edges.append(extra)
+            n = max(n, *extra)
+    n += max(0, 1 - (n - len(edges) * (b - 1)))
+    relabel = (0, *draw(st.permutations(range(1, n + 1))))
+    edges = [tuple(relabel[v] for v in e) for e in edges]
+    roots = draw(st.permutations(range(1, n + 1)))[: n - len(edges) * (b - 1)]
+    return RootedForest(n=n, b=b, edges=edges, roots=roots)
+
+
+class TestPairScanReadsOnlyClosedComponents:
+    """The pair scan skips the edges of components without a closing
+    vertex; here it is checked against the scan over every edge."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(forests_with_repeated_pairs())
+    def test_same_violations_as_the_full_scan(self, forest):
+        expected = violations_with_full_pair_scan(forest)
+        assert any(v.startswith("vertices ") for v in expected)
+        assert validate_forest(forest).violations == expected
+
+
+@st.composite
 def mid_sized_hypergraphs(draw):
     """Well-formed hypergraphs of up to 80 vertices whose n fits
     s(b-1)+k+1: hypertrees, some of them closed into cycles or joined by

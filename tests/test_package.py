@@ -202,3 +202,14 @@ def test_validate_forest_counts_and_does_not_group():
     }
     assert "_union_find" in used
     assert not used & {"_components", "component_decomposition"}
+
+
+def test_only_the_cli_imports_gc():
+    """The CLI pauses the cyclic collector around a command; library calls
+    leave the collector to their caller."""
+    importers = {
+        path.name
+        for path in SOURCES
+        if "gc" in _imported_names(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert importers == {"cli.py"}

@@ -167,10 +167,10 @@ def _require(doc: Any, key: str, kind: type, what: str) -> Any:
 
 # the intake checks types and hands the parsed lists on: the constructors
 # build the canonical tuples
-def _int_list(values: Any, what: str) -> list[int]:
+def _int_list(values: list, what: str) -> list[int]:
     # type() and not isinstance(): bool is an int subclass, and json.loads
     # returns no other subclass of int
-    if not isinstance(values, list) or not set(map(type, values)) <= {int}:
+    if not set(map(type, values)) <= {int}:
         raise _DocumentError(f"{what} must be a list of integers")
     return values
 
@@ -202,7 +202,7 @@ def code_from_document(doc: Any) -> ForestCode:
     s = _require(doc, "s", int, "code")
     k = _require(doc, "k", int, "code")
     roots = _int_list(_require(doc, "R", list, "code"), "R")
-    final_root = doc.get("r") if isinstance(doc, dict) else None
+    final_root = doc.get("r")
     if final_root is not None and (
         not isinstance(final_root, int) or isinstance(final_root, bool)
     ):
@@ -448,6 +448,7 @@ _ERRORS = {
     BudgetExceededError: ("budget", 2),
     ParameterRangeError: ("range", 2),
     OSError: ("io", 2),
+    OverflowError: ("range", 2),
 }
 
 

@@ -29,6 +29,7 @@ valid, and a refusal raises with the validate function's report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, NoReturn
 
@@ -131,15 +132,17 @@ def validate_code(code: ForestCode) -> ValidationReport:
     shape = code.shape
     b, s, k, n = shape.b, shape.s, shape.k, shape.n
     violations: list[str] = []
+    # Decimal words n and k+1, which may pass str()'s 4300-digit limit
+    span = f"1..{Decimal(n)}"
 
     roots = code.roots
     if len(roots) != k + 1:
-        violations.append(f"expected {k + 1} roots, found {len(roots)}")
+        violations.append(f"expected {Decimal(k + 1)} roots, found {len(roots)}")
     if len(set(roots)) != len(roots):
         violations.append("repeated root label")
     for r in roots:
         if r < 1 or r > n:
-            violations.append(f"root {r} outside 1..{n}")
+            violations.append(f"root {r} outside {span}")
 
     if s == 0:
         if code.final_root is not None:
@@ -158,7 +161,7 @@ def validate_code(code: ForestCode) -> ValidationReport:
             violations.append(f"block {list(blk)}: has {len(blk)} labels, expected {b - 1}")
         for v in blk:
             if v < 1 or v > n:
-                violations.append(f"block label {v} outside 1..{n}")
+                violations.append(f"block label {v} outside {span}")
             elif v in seen:
                 overlap = True
             else:
@@ -180,7 +183,7 @@ def validate_code(code: ForestCode) -> ValidationReport:
         )
     for v in code.links:
         if v < 1 or v > n:
-            violations.append(f"link {v} outside 1..{n}")
+            violations.append(f"link {v} outside {span}")
 
     return ValidationReport(not violations, tuple(violations), s, k)
 

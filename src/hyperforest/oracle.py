@@ -26,19 +26,6 @@ def _check_budget(candidates: int, budget: int) -> None:
         raise BudgetExceededError(candidates, budget)
 
 
-def _forest_components(n: int, edge_set: tuple[Hyperedge, ...]) -> list[list[int]] | None:
-    """Component vertex lists, by smallest vertex, if every component is a
-    hypertree, else None.
-
-    All components have excess -1 exactly when the component count equals
-    n - s*(b-1), since excesses are >= -1 each and sum to s*(b-1) - n.
-    """
-    groups = _components(n, edge_set)
-    if len(groups) != n - sum(len(e) - 1 for e in edge_set):
-        return None
-    return groups
-
-
 def enumerate_forests(
     b: int, s: int, k: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[RootedForest]:
@@ -56,8 +43,10 @@ def enumerate_forests(
     def generate() -> Iterator[RootedForest]:
         all_edges = list(combinations(range(1, n + 1), b))
         for edge_set in combinations(all_edges, s):
-            components = _forest_components(n, edge_set)
-            if components is None:
+            # every component is a hypertree exactly when there are k+1 of
+            # them: excesses are >= -1 each and sum to s*(b-1) - n = -(k+1)
+            components = _components(n, edge_set)
+            if len(components) != k + 1:
                 continue
             for roots in product(*components):
                 yield RootedForest(n=n, b=b, edges=edge_set, roots=roots)

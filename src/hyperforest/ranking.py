@@ -84,15 +84,15 @@ def _combination_unrank(index: int, pool_size: int, size: int) -> list[int]:
     return positions
 
 
-def _radices(shape: ForestShape) -> list[int]:
-    """Radices of the code's digits, most significant first (module docstring)."""
+def _levels(shape: ForestShape) -> list[list[int]]:
+    """Product tree of the digit radices, most significant first (module docstring)."""
     b, s, k, n = shape.b, shape.s, shape.k, shape.n
     radices = [comb(n, k + 1)]
     if s:
         radices.append(k + 1)
         radices += [comb(left - 1, b - 2) for left in range(s * (b - 1), 0, 1 - b)]
         radices += [n] * (s - 1)
-    return radices
+    return product_levels(radices)
 
 
 def code_space_size(shape: ForestShape) -> int:
@@ -102,7 +102,7 @@ def code_space_size(shape: ForestShape) -> int:
     tests can compare the two routes.  It is the root of the radices'
     product tree, the tree that rank and unrank combine and split along.
     """
-    return product_levels(_radices(shape))[-1][0]
+    return _levels(shape)[-1][0]
 
 
 def unrank_code(index: int, shape: ForestShape) -> ForestCode:
@@ -113,7 +113,7 @@ def unrank_code(index: int, shape: ForestShape) -> ForestCode:
     left child's value as quotient and the right child's as remainder, so
     every division meets a divisor about half its dividend's size.
     """
-    return _unrank(index, shape, product_levels(_radices(shape)))
+    return _unrank(index, shape, _levels(shape))
 
 
 def _unrank(index: int, shape: ForestShape, levels: list[list[int]]) -> ForestCode:
@@ -133,9 +133,6 @@ def _unrank(index: int, shape: ForestShape, levels: list[list[int]]) -> ForestCo
         digits = split
     b, s, k, n = shape.b, shape.s, shape.k, shape.n
     roots = tuple(c + 1 for c in _combination_unrank(digits[0], n, k + 1))
-    if s == 0:
-        return ForestCode(shape, roots, None, (), ())
-
     root_set = set(roots)
     working = [v for v in range(1, n + 1) if v not in root_set]
     blocks = []
@@ -146,7 +143,7 @@ def _unrank(index: int, shape: ForestShape, levels: list[list[int]]) -> ForestCo
         for c in reversed(positions):
             del working[c]
     links = tuple(digit + 1 for digit in digits[s + 2 :])
-    return ForestCode(shape, roots, roots[digits[1]], tuple(blocks), links)
+    return ForestCode(shape, roots, roots[digits[1]] if s else None, blocks, links)
 
 
 def rank_code(code: ForestCode) -> int:
@@ -162,16 +159,16 @@ def rank_code(code: ForestCode) -> int:
     digits = [_combination_rank([v - 1 for v in code.roots], n)]
     if shape.s:
         digits.append(code.roots.index(code.final_root))
-        root_set = set(code.roots)
-        working = [v for v in range(1, n + 1) if v not in root_set]
-        for blk in code.blocks:  # ordered by smallest label: the canonical walk
-            del working[0]
-            positions = [bisect_left(working, v) for v in blk[1:]]
-            digits.append(_combination_rank(positions, len(working)))
-            for c in reversed(positions):
-                del working[c]
-        digits += [v - 1 for v in code.links]
-    for level in product_levels(_radices(shape))[:-1]:
+    root_set = set(code.roots)
+    working = [v for v in range(1, n + 1) if v not in root_set]
+    for blk in code.blocks:  # ordered by smallest label: the canonical walk
+        del working[0]
+        positions = [bisect_left(working, v) for v in blk[1:]]
+        digits.append(_combination_rank(positions, len(working)))
+        for c in reversed(positions):
+            del working[c]
+    digits += [v - 1 for v in code.links]
+    for level in _levels(shape)[:-1]:
         combined = [
             high * right + low
             for high, low, right in zip(digits[::2], digits[1::2], level[1::2])
@@ -290,7 +287,7 @@ def _id_stream(shape: ForestShape, m: int) -> Iterator[ForestCode]:
     unranks; each code is unranked as it is read."""
     if m < 0:
         raise ParameterRangeError(f"id count m={m} must be at least 0")
-    levels = product_levels(_radices(shape))
+    levels = _levels(shape)
     total = levels[-1][0]
     if m > total:
         raise ParameterRangeError(

@@ -213,7 +213,8 @@ NOT_INTEGERS = {"true": True, "float": 1.0, "string": "1", "null": None, "list":
 
 
 def _intake_cases():
-    """(command, document, message) for every place a document holds integers."""
+    """(command, document, message) for every place a document holds integers,
+    then for a document or key of the wrong JSON type."""
     for name, bad in NOT_INTEGERS.items():
         yield pytest.param("encode", dict(FOREST_DOC, edges=[[1, 2], [2, bad]]),
                            "each edge must be a list of integers", id=f"edge-{name}")
@@ -244,6 +245,29 @@ def _intake_cases():
     yield pytest.param("decode", dict(CODE_DOC, P=[[1], [None]], b=1),
                        "code document shape is invalid: edge size b=1 must be at least 2",
                        id="block-and-shape")
+    yield pytest.param("encode", [FOREST_DOC], "forest document must be a JSON object",
+                       id="forest-not-an-object")
+    yield pytest.param("decode", [CODE_DOC], "code document must be a JSON object",
+                       id="code-not-an-object")
+    yield pytest.param("rank", 3, "code document must be a JSON object", id="rank-not-an-object")
+    for name, bad in NOT_INTEGERS.items():
+        yield pytest.param("encode", dict(FOREST_DOC, n=bad),
+                           "forest document key 'n' must be an integer", id=f"n-{name}")
+        yield pytest.param("decode", dict(CODE_DOC, s=bad),
+                           "code document key 's' must be an integer", id=f"s-{name}")
+        if bad is not None:  # r is null when s is 0
+            yield pytest.param("decode", dict(CODE_DOC, r=bad),
+                               "code document key 'r' must be an integer or null",
+                               id=f"final-root-{name}")
+    for name, bad in {"integer": 3, "object": {"1": 2}, "string": "12", "null": None}.items():
+        yield pytest.param("encode", dict(FOREST_DOC, edges=bad),
+                           "forest document key 'edges' must be a list", id=f"edges-{name}")
+        yield pytest.param("encode", dict(FOREST_DOC, roots=bad),
+                           "forest document key 'roots' must be a list", id=f"roots-{name}")
+        yield pytest.param("decode", dict(CODE_DOC, R=bad),
+                           "code document key 'R' must be a list", id=f"R-is-{name}")
+        yield pytest.param("decode", dict(CODE_DOC, N=bad),
+                           "code document key 'N' must be a list", id=f"N-is-{name}")
 
 
 class TestDocumentIntake:
@@ -527,6 +551,14 @@ class TestEnumerate:
         assert status == 2
         assert json.loads(err)["error"] == "range"
 
+    def test_budget_env_must_be_non_negative(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERFOREST_BUDGET", "-1")
+        status, out, err = run_cli(
+            capsys, ["enumerate", "--kind", "forests", "--b", "2", "--s", "2", "--k", "0"]
+        )
+        assert (status, out) == (2, "")
+        assert err == '{"error":"range","message":"HYPERFOREST_BUDGET must be non-negative"}\n'
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -705,6 +737,67 @@ class TestIds:
         assert json.loads(err)["error"] == "range"
 
 
+# b past what the C-level math functions take: each count ends in an
+# OverflowError, which the CLI reports as a range error
+TOO_LARGE = "100000000000000000000000000000"
+
+
+class TestParametersTooLargeToCompute:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--kind", "forests", "--b", TOO_LARGE, "--s", "10", "--k", "0"],
+            ["count", "--kind", "hypertrees", "--b", TOO_LARGE, "--s", "10"],
+            ["count", "--kind", "hypercycles", "--b", TOO_LARGE, "--s", "10"],
+            ["count", "--kind", "hypercycle-class", "--b", TOO_LARGE, "--s", "10", "--j", "2"],
+            ["audit", "--b", TOO_LARGE, "--s", "10"],
+            ["count", "--kind", "forests", "--b", "3", "--s", "10", "--k", TOO_LARGE],
+        ],
+        ids=["forests", "hypertrees", "hypercycles", "hypercycle-class", "audit", "forests-k"],
+    )
+    def test_is_one_range_line(self, capsys, argv):
+        status, out, err = run_cli(capsys, argv)
+        assert (status, out) == (2, "")
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "range"
+
+
+# code documents whose shape makes n, or k + 1, pass the 4300 digits that
+# str() of an int may write; each key has at most 4300 digits, which json reads
+PAST_THE_LIMIT = {
+    "n": (
+        {"b": 10**4299, "s": 20, "k": 0, "R": [0], "r": 0, "P": [], "N": []},
+        ["root 0 outside 1..1" + "9" * 4298 + "81", "expected 20 blocks, found 0",
+         "blocks do not cover every non-root label exactly once",
+         "expected 19 links, found 0"],
+    ),
+    "k-plus-one": (
+        {"b": 3, "s": 0, "k": 10**4300 - 1, "R": [1], "r": None, "P": [], "N": []},
+        ["expected 1" + "0" * 4300 + " roots, found 1",
+         "blocks do not cover every non-root label exactly once"],
+    ),
+}
+
+
+class TestCodeShapePastTheDecimalLimit:
+    @pytest.mark.parametrize("name", list(PAST_THE_LIMIT))
+    def test_validate_reports(self, capsys, tmp_path, name):
+        doc, violations = PAST_THE_LIMIT[name]
+        status, out, err = run_cli(capsys, ["validate", "-i", write_doc(tmp_path, "c.json", doc)])
+        assert (status, err) == (1, "")
+        report = json.loads(out)
+        assert (report["valid"], report["violations"]) == (False, violations)
+
+    @pytest.mark.parametrize("command", ["decode", "rank"])
+    @pytest.mark.parametrize("name", list(PAST_THE_LIMIT))
+    def test_refusal_is_one_line(self, capsys, tmp_path, command, name):
+        doc, violations = PAST_THE_LIMIT[name]
+        status, out, err = run_cli(capsys, [command, "-i", write_doc(tmp_path, "c.json", doc)])
+        assert (status, out) == (1, "")
+        message = "invalid code: " + "; ".join(violations)
+        assert err == '{"error":"invalid-structure","message":"' + message + '"}\n'
+
+
 class TestUsageAndErrors:
     def test_no_arguments(self, capsys):
         status, _, err = run_cli(capsys, [])
@@ -740,6 +833,9 @@ class TestUsageAndErrors:
                 ["enumerate", "--kind", "codes", "--b", "2", "--s", "1"],
                 "enumerate --kind codes requires --k",
             ),
+            (["sample", "--b", "2", "--s", "2", "--seed", "1"], "this command requires --k"),
+            (["unrank", "--index", "0", "--b", "2", "--s", "2"], "this command requires --k"),
+            (["ids", "--b", "2", "--s", "2", "--m", "1"], "this command requires --k"),
         ],
     )
     def test_kind_specific_flag_missing(self, capsys, argv, message):

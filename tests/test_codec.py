@@ -17,6 +17,8 @@ from hyperforest import (
     encode_forest,
     enumerate_forests,
     leaf_blocks,
+    rank_code,
+    unrank_code,
     validate_code,
     validate_forest,
 )
@@ -292,17 +294,19 @@ class TestEncodeChecksItsInput:
 
 
 def assert_decode_agrees_with_validate(code) -> bool:
-    """decode_code refuses exactly the codes validate_code reports as
-    invalid, with the report as its message, and the forest it gives for
-    the rest encodes back to the same code.  Returns whether the code is
-    valid."""
+    """decode_code and rank_code refuse exactly the codes validate_code
+    reports as invalid, with the report as their message; the forest decode
+    gives for the rest encodes back to the same code, and the rank unranks
+    back to it.  Returns whether the code is valid."""
     report = validate_code(code)
     if report.valid:
         assert encode_forest(decode_code(code)) == code
+        assert unrank_code(rank_code(code), code.shape) == code
         return True
-    with pytest.raises(InvalidStructureError) as info:
-        decode_code(code)
-    assert str(info.value) == "invalid code: " + "; ".join(report.violations)
+    for call in (decode_code, rank_code):
+        with pytest.raises(InvalidStructureError) as info:
+            call(code)
+        assert str(info.value) == "invalid code: " + "; ".join(report.violations)
     return False
 
 
@@ -368,13 +372,14 @@ class TestDecodeChecksItsInput:
     def test_named_malformed_code(self, changes):
         assert not assert_decode_agrees_with_validate(_named_code(**changes))
 
-    def test_memory_follows_the_document_not_the_declared_size(self):
+    @pytest.mark.parametrize("call", [decode_code, rank_code], ids=lambda f: f.__name__)
+    def test_memory_follows_the_document_not_the_declared_size(self, call):
         # b = 10**6 declares a million labels; the document holds two
         code = ForestCode(ForestShape(b=10**6, s=1, k=0), (1,), 1, ((2,),), ())
         tracemalloc.start()
         try:
             with pytest.raises(InvalidStructureError) as info:
-                decode_code(code)
+                call(code)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

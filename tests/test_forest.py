@@ -60,6 +60,13 @@ class TestComponentDecomposition:
         assert report.components[0].excess == -1
         assert report.components[0].vertices == (1,)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_no_vertices_raises(self, n):
+        f = RootedForest(n=n, b=2, edges=(), roots=(1,))
+        with pytest.raises(InvalidStructureError) as info:
+            component_decomposition(f)
+        assert str(info.value) == f"vertex count n={n} must be at least 1"
+
     def test_triangle_has_excess_zero(self):
         f = RootedForest(n=3, b=2, edges=[(1, 2), (2, 3), (1, 3)], roots=(1,))
         report = component_decomposition(f)

@@ -138,6 +138,12 @@ def _print_line(doc: dict[str, Any]) -> None:
     print(_compact(doc))
 
 
+def _decimal_text(value: int | None) -> str | None:
+    """A count or index as the documents print it: a decimal string, or null.
+    str() raises ValueError past the interpreter's integer string limit."""
+    return None if value is None else str(value)
+
+
 def _load_json(path: str | None) -> Any:
     try:
         if path is None or path == "-":
@@ -152,13 +158,15 @@ def _load_json(path: str | None) -> Any:
         raise _DocumentError(f"input cannot be read as JSON: {exc}") from None
 
 
+# integers are checked with type() and not isinstance(): bool is an int
+# subclass, and json.loads returns no other subclass of int
 def _require(doc: Any, key: str, kind: type, what: str) -> Any:
     if not isinstance(doc, dict):
         raise _DocumentError(f"{what} document must be a JSON object")
     if key not in doc:
         raise _DocumentError(f"{what} document is missing key {key!r}")
     value = doc[key]
-    if kind is int and (not isinstance(value, int) or isinstance(value, bool)):
+    if kind is int and type(value) is not int:
         raise _DocumentError(f"{what} document key {key!r} must be an integer")
     if kind is list and not isinstance(value, list):
         raise _DocumentError(f"{what} document key {key!r} must be a list")
@@ -168,8 +176,6 @@ def _require(doc: Any, key: str, kind: type, what: str) -> Any:
 # the intake checks types and hands the parsed lists on: the constructors
 # build the canonical tuples
 def _int_list(values: list, what: str) -> list[int]:
-    # type() and not isinstance(): bool is an int subclass, and json.loads
-    # returns no other subclass of int
     if not set(map(type, values)) <= {int}:
         raise _DocumentError(f"{what} must be a list of integers")
     return values
@@ -203,9 +209,7 @@ def code_from_document(doc: Any) -> ForestCode:
     k = _require(doc, "k", int, "code")
     roots = _int_list(_require(doc, "R", list, "code"), "R")
     final_root = doc.get("r")
-    if final_root is not None and (
-        not isinstance(final_root, int) or isinstance(final_root, bool)
-    ):
+    if final_root is not None and type(final_root) is not int:
         raise _DocumentError("code document key 'r' must be an integer or null")
     blocks = _require(doc, "P", list, "code")
     links = _int_list(_require(doc, "N", list, "code"), "N")
@@ -306,7 +310,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     else:
         params["n"] = ForestShape(b=args.b, s=args.s, k=params.get("k", 0)).n
     _print_document(
-        {"kind": args.kind, **{key: params[key] for key in keys}, "count": str(value)}
+        {"kind": args.kind, **{key: params[key] for key in keys}, "count": _decimal_text(value)}
     )
     return 0
 
@@ -332,7 +336,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         _print_line(to_document(item))
         total += 1
     summary = {"kind": args.kind, "b": args.b, "s": args.s, flag: value}
-    summary["count"] = str(total)
+    summary["count"] = _decimal_text(total)
     _print_line({"summary": summary})
     return 0
 
@@ -340,23 +344,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     report = audit_hypercycles(args.b, args.s, _budget())
     for j, value in report.count_by_cycle_length:
-        _print_line({"j": j, "count": str(value)})
+        _print_line({"j": j, "count": _decimal_text(value)})
     _print_line(
         {
             "summary": {
                 "b": report.b,
                 "s": report.s,
                 "n": report.n,
-                "closed_form_count": str(report.closed_form_count),
-                "cycle_length_total": str(report.cycle_length_total),
-                "set_count": (
-                    None if report.set_count is None else str(report.set_count)
-                ),
-                "multiset_count": (
-                    None
-                    if report.multiset_count is None
-                    else str(report.multiset_count)
-                ),
+                "closed_form_count": _decimal_text(report.closed_form_count),
+                "cycle_length_total": _decimal_text(report.cycle_length_total),
+                "set_count": _decimal_text(report.set_count),
+                "multiset_count": _decimal_text(report.multiset_count),
                 "notes": report.notes,
             }
         }
@@ -379,7 +377,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             "b": code.shape.b,
             "s": code.shape.s,
             "k": code.shape.k,
-            "index": str(index),
+            "index": _decimal_text(index),
         }
     )
     return 0

@@ -271,15 +271,15 @@ def encode_forest(forest: RootedForest) -> ForestCode:
 def decode_code(code: ForestCode) -> RootedForest:
     """Decode a valid 4-tuple code back into its forest.
 
-    Walks the link sequence left to right.  At each step the hyperedge is
-    the current link joined with the unused block of smallest label whose
-    vertices are all absent from the remaining links, the current entry
-    included; the last block is closed with final_root instead.  Block
-    readiness is tracked by counting, per block, how many of its vertices
-    still occur in the unconsumed links; a block enters the ready heap when
-    that count reaches zero.  At least one block is always ready: the u
-    unused blocks are pairwise disjoint, so the u-1 or fewer remaining link
-    entries can block at most u-1 of them.
+    Walks the link sequence left to right, then final_root as the s-th link.
+    At each step the hyperedge is the current link joined with the unused
+    block of smallest label whose vertices are all absent from the remaining
+    links, the current entry included.  Block readiness is tracked by
+    counting, per block, how many of its vertices still occur in the
+    unconsumed links; a block enters the ready heap when that count reaches
+    zero.  At least one block is always ready: the u unused blocks are
+    pairwise disjoint, so the u-1 or fewer remaining entries of links can
+    block at most u-1 of them, and final_root, a root, blocks none.
 
     The checks below fix every count, every label >= 1 and final_root; if
     the passes filling the label arrays then meet no label above n and none
@@ -328,7 +328,8 @@ def decode_code(code: ForestCode) -> RootedForest:
 
     edges: list[Hyperedge] = []
     record_edge = edges.append
-    for v in links:
+    # final_root's count may drop to -1: harmless, as a root's block_of is s
+    for v in (*links, final_root):
         j = heappop(heap) % s
         record_edge(blocks[j] + (v,))
         occurrences[v] -= 1
@@ -338,7 +339,5 @@ def decode_code(code: ForestCode) -> RootedForest:
                 pending[bj] -= 1
                 if pending[bj] == 0:
                     heappush(heap, blocks[bj][0] * s + bj)
-    j = heappop(heap) % s
-    record_edge(blocks[j] + (final_root,))
 
     return RootedForest(n=n, b=b, edges=edges, roots=roots)

@@ -179,10 +179,9 @@ def rank_code(code: ForestCode) -> int:
     return digits[0]
 
 
-def _check_seed(seed: int) -> int:
+def _check_seed(seed: int) -> None:
     if seed < 0 or seed >= _SEED_LIMIT:
         raise ParameterRangeError(f"seed {seed} outside 0..2^64-1")
-    return seed
 
 
 def _uniform_below(rng: random.Random, bound: int) -> int:
@@ -223,9 +222,7 @@ def _draw_code(shape: ForestShape, rng: random.Random) -> ForestCode:
         j = i + _uniform_below(rng, n - i)
         labels[i], labels[j] = labels[j], labels[i]
     roots = tuple(sorted(labels[: k + 1]))
-    if s == 0:
-        return ForestCode(shape, roots, None, (), ())
-    final_root = roots[_uniform_below(rng, k + 1)]
+    final_root = roots[_uniform_below(rng, k + 1)] if s else None
     pool = sorted(labels[k + 1 :])
     _shuffle(rng, pool)
     blocks = tuple(

@@ -31,7 +31,7 @@ from hyperforest import (
     sample_forests,
     unrank_code,
 )
-from tests.conftest import (
+from conftest import (
     SWEEP_SHAPES,
     WORKED_BLOCKS,
     WORKED_EDGES,

@@ -25,7 +25,7 @@ from hyperforest import ForestShape, encode_forest, sample_forest
 from hyperforest import cli
 from hyperforest.cli import main
 from perfbench.tracing import CLI_SPANS, Tracer
-from tests.conftest import (
+from conftest import (
     WORKED_BLOCKS,
     WORKED_EDGES,
     WORKED_FINAL_ROOT,

@@ -22,7 +22,7 @@ from hyperforest import (
     validate_code,
     validate_forest,
 )
-from tests.conftest import (
+from conftest import (
     SWEEP_SHAPES,
     WORKED_BLOCKS,
     WORKED_EDGES,

@@ -23,7 +23,7 @@ from hyperforest import (
     hypercycle_class_count,
 )
 from hyperforest.counting import _as_count, _factorial_quotient
-from tests.conftest import range_message
+from conftest import range_message
 
 
 class TestCountForests:

@@ -26,7 +26,7 @@ from hyperforest import (
     validate_code,
     validate_forest,
 )
-from tests.conftest import range_message
+from conftest import range_message
 
 
 class TestEnumerateForests:

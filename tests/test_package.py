@@ -213,3 +213,22 @@ def test_only_the_cli_imports_gc():
         if "gc" in _imported_names(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert importers == {"cli.py"}
+
+
+def test_cli_words_counts_in_one_function():
+    """A count or index becomes text only in cli._decimal_text; the one other
+    str() call words the exception that main reports."""
+    path = Path(hyperforest.__file__).parent / "cli.py"
+    calls = []
+
+    def visit(node: ast.AST, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "str":
+            argument = node.args[0].id if isinstance(node.args[0], ast.Name) else None
+            calls.append((function, argument))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
+    assert calls == [("_decimal_text", "value"), ("main", "exc")]

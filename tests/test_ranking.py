@@ -25,7 +25,7 @@ from hyperforest import (
     validate_code,
     validate_forest,
 )
-from tests.conftest import SWEEP_SHAPES
+from conftest import SWEEP_SHAPES
 
 # (b, s, k, past_end, length, sha256 prefix) of the out-of-range refusal
 # text, recorded from the digit-by-digit unrank

@@ -446,7 +446,6 @@ _ERRORS = {
     BudgetExceededError: ("budget", 2),
     ParameterRangeError: ("range", 2),
     OSError: ("io", 2),
-    OverflowError: ("range", 2),
 }
 
 
@@ -475,7 +474,10 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        try:
+            return args.handler(args)
+        except (OverflowError, MemoryError):
+            raise ParameterRangeError("parameters too large to compute") from None
     except SystemExit as exc:  # --help and friends
         return int(exc.code or 0)
     except tuple(_ERRORS) as exc:

@@ -9,10 +9,10 @@ exact integer division of a numerator by a denominator, and a remainder
 fails the same assertion.  fractions.Fraction appears only in the cycle
 sum, the sum form's factor, and in :func:`cycle_sum_identity`.
 
-With n = s*(b-1) + k + 1:
-
-* forests of k+1 rooted hypertrees, s edges:  (n!/k!) * n^(s-1) / (s! * (b-1)!^s)
-* rooted hypertrees, s edges (n = s*(b-1)+1): (n-1)! * n^s / (s! * (b-1)!^s)
+With n = s*(b-1) + k + 1, forests of k+1 rooted hypertrees with s edges
+number (n!/k!) * n^(s-1) / (s! * (b-1)!^s).  A rooted hypertree is a forest
+of one tree, so its count is the forest count at k = 0, which equals
+(n-1)! * n^s / (s! * (b-1)!^s): Cayley's n^(n-1) at b = 2.
 
 With n = s*(b-1), for connected hypergraphs of excess 0 (hypercycles):
 
@@ -36,7 +36,7 @@ from itertools import compress
 from math import factorial, isqrt
 from typing import Literal, NamedTuple
 
-from .codec import check_shape, product_levels
+from .codec import ForestShape, check_shape, product_levels
 from .errors import InvariantViolation, ParameterRangeError
 
 HypercycleForm = Literal["closed", "sum"]
@@ -53,7 +53,8 @@ def _as_count(numerator: int, denominator: int, what: str) -> int:
 
 def _primes_upto(n: int) -> list[int]:
     """The primes p <= n, for n >= 1, by the sieve of Eratosthenes."""
-    sieve = bytearray([1]) * (n + 1)
+    sieve = bytearray([1])
+    sieve *= n + 1  # in place: a failed repeat of a temporary also prints a SystemError
     sieve[0] = sieve[1] = 0
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
@@ -105,10 +106,9 @@ def count_forests(b: int, s: int, k: int) -> int:
     one whose k+1 vertices are all isolated roots, and the formula reduces
     to 1 as well.
     """
-    check_shape(b, s, k)
+    n = ForestShape(b=b, s=s, k=k).n
     if s == 0:
         return 1
-    n = s * (b - 1) + k + 1
     return _factorial_quotient(
         n, s - 1, [(n, 1), (k, -1), (s, -1), (b - 1, -s)],
         f"forest count for b={b}, s={s}, k={k}",
@@ -118,15 +118,12 @@ def count_forests(b: int, s: int, k: int) -> int:
 def count_rooted_hypertrees(b: int, s: int) -> int:
     """Number of labelled rooted b-uniform hypertrees with s edges.
 
-    Evaluates (n-1)! * n^s / (s! * (b-1)!^s) on n = s*(b-1) + 1 vertices
-    from its prime exponents.  At b = 2 this is Cayley's n^(n-1) count of
-    rooted labelled trees.
+    A rooted hypertree is a forest of one tree: count_forests(b, s, 0), that
+    is (n-1)! * n^s / (s! * (b-1)!^s) on n = s*(b-1) + 1 vertices.  At b = 2
+    this is Cayley's n^(n-1) count of rooted labelled trees.
     """
     check_shape(b, s, min_s=1)
-    n = s * (b - 1) + 1
-    return _factorial_quotient(
-        n, s, [(n - 1, 1), (s, -1), (b - 1, -s)], f"hypertree count for b={b}, s={s}"
-    )
+    return count_forests(b, s, 0)
 
 
 def count_hypercycles(b: int, s: int, form: HypercycleForm = "closed") -> int:

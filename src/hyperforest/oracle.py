@@ -92,14 +92,11 @@ def enumerate_code_space(
     def generate() -> Iterator[ForestCode]:
         labels = range(1, n + 1)
         for roots in combinations(labels, k + 1):
-            if s == 0:
-                yield ForestCode(shape, roots, None, (), ())
-                continue
             root_set = set(roots)
             pool = tuple(v for v in labels if v not in root_set)
-            for final_root in roots:
+            for final_root in roots if s else (None,):
                 for blocks in _partitions_in_order(pool, b - 1):
-                    for links in product(labels, repeat=s - 1):
+                    for links in product(labels, repeat=max(s - 1, 0)):
                         yield ForestCode(shape, roots, final_root, blocks, links)
 
     return generate()

@@ -179,9 +179,10 @@ def rank_code(code: ForestCode) -> int:
     return digits[0]
 
 
-def _check_seed(seed: int) -> None:
+def _rng(seed: int) -> random.Random:
     if seed < 0 or seed >= _SEED_LIMIT:
         raise ParameterRangeError(f"seed {seed} outside 0..2^64-1")
+    return random.Random(seed)
 
 
 def _uniform_below(rng: random.Random, bound: int) -> int:
@@ -210,9 +211,7 @@ def _shuffle(rng: random.Random, values: list[int]) -> None:
 
 def sample_code(shape: ForestShape, seed: int) -> ForestCode:
     """Draw a uniformly random code of the shape, deterministic in the seed."""
-    _check_seed(seed)
-    rng = random.Random(seed)
-    return _draw_code(shape, rng)
+    return _draw_code(shape, _rng(seed))
 
 
 def _draw_code(shape: ForestShape, rng: random.Random) -> ForestCode:
@@ -262,10 +261,9 @@ def _sample_stream(shape: ForestShape, seed: int, m: int) -> Iterator[RootedFore
     """sample_forests one forest at a time.  The seed and m are checked on
     the call, before the first draw; each forest is drawn and decoded as it
     is read, so a reader holds one forest at a time."""
-    _check_seed(seed)
+    rng = _rng(seed)
     if m < 0:
         raise ParameterRangeError(f"draw count m={m} must be at least 0")
-    rng = random.Random(seed)
     return (decode_code(_draw_code(shape, rng)) for _ in range(m))
 
 

@@ -740,6 +740,9 @@ class TestIds:
 # b past what the C-level math functions take: each count ends in an
 # OverflowError, which the CLI reports as a range error
 TOO_LARGE = "100000000000000000000000000000"
+# s whose n no sieve or label list fits in memory: a MemoryError, reported
+# the same way
+TOO_MANY = "100000000000000000"
 
 
 class TestParametersTooLargeToCompute:
@@ -752,14 +755,17 @@ class TestParametersTooLargeToCompute:
             ["count", "--kind", "hypercycle-class", "--b", TOO_LARGE, "--s", "10", "--j", "2"],
             ["audit", "--b", TOO_LARGE, "--s", "10"],
             ["count", "--kind", "forests", "--b", "3", "--s", "10", "--k", TOO_LARGE],
+            ["count", "--kind", "forests", "--b", "3", "--s", TOO_MANY, "--k", "0"],
+            ["count", "--kind", "hypertrees", "--b", "3", "--s", TOO_MANY],
+            ["sample", "--b", "3", "--s", TOO_MANY, "--k", "0", "--seed", "1"],
         ],
-        ids=["forests", "hypertrees", "hypercycles", "hypercycle-class", "audit", "forests-k"],
+        ids=["forests", "hypertrees", "hypercycles", "hypercycle-class", "audit", "forests-k",
+             "forests-s", "hypertrees-s", "sample-s"],
     )
     def test_is_one_range_line(self, capsys, argv):
         status, out, err = run_cli(capsys, argv)
         assert (status, out) == (2, "")
-        assert err.count("\n") == 1
-        assert json.loads(err)["error"] == "range"
+        assert err == '{"error":"range","message":"parameters too large to compute"}\n'
 
 
 # code documents whose shape makes n, or k + 1, pass the 4300 digits that

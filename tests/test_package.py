@@ -232,3 +232,18 @@ def test_cli_words_counts_in_one_function():
 
     visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
     assert calls == [("_decimal_text", "value"), ("main", "exc")]
+
+
+def test_hypertrees_are_counted_as_one_tree_forests():
+    """count_rooted_hypertrees is count_forests at k = 0, with no exponent
+    list of its own for _factorial_quotient."""
+    path = Path(hyperforest.__file__).parent / "counting.py"
+    (function,) = (
+        node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "count_rooted_hypertrees"
+    )
+    called = {
+        getattr(node.func, "id", None) for node in ast.walk(function) if isinstance(node, ast.Call)
+    }
+    assert "count_forests" in called
+    assert "_factorial_quotient" not in called

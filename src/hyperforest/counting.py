@@ -3,11 +3,13 @@
 Every function works in exact integer arithmetic; no floating point is
 used anywhere in this module.  The forest and hypertree counts are products
 of factorials and powers of n, so they are computed from the exponent of
-each prime p <= n and multiplied over a balanced product tree; a negative
-exponent fails their integrality assertion.  Each hypercycle count is one
-exact integer division of a numerator by a denominator, and a remainder
-fails the same assertion.  fractions.Fraction appears only in the cycle
-sum, the sum form's factor, and in :func:`cycle_sum_identity`.
+each prime p <= n, squaring over the exponents' bits and multiplying in a
+balanced product tree of the primes at each bit; a negative exponent fails
+their integrality assertion.  Each hypercycle count is one exact integer
+division of a numerator by a denominator, and a remainder fails the same
+assertion; a count that no int could hold is refused before any factorial
+is taken.  fractions.Fraction appears only in the cycle sum, the sum
+form's factor, and in :func:`cycle_sum_identity`.
 
 With n = s*(b-1) + k + 1, forests of k+1 rooted hypertrees with s edges
 number (n!/k!) * n^(s-1) / (s! * (b-1)!^s).  A rooted hypertree is a forest
@@ -31,6 +33,7 @@ them.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import compress
 from math import factorial, isqrt
@@ -49,6 +52,24 @@ def _as_count(numerator: int, denominator: int, what: str) -> int:
         problem = "is not an integer" if remainder else "is negative"
         raise InvariantViolation(f"{what} {problem}: {Fraction(numerator, denominator)}")
     return count
+
+
+# the most bits an int can have: at most sys.maxsize bytes of digits
+_INT_BITS = sys.maxsize // sys.int_info.sizeof_digit * sys.int_info.bits_per_digit
+
+
+def _ensure_holdable(bits: int, factorials: list[tuple[int, int]]) -> None:
+    """Refuse a count that no int could hold, before any factorial is taken.
+
+    The count is at least 2**bits * prod(m! ** weight for m, weight in
+    factorials).  With L = m.bit_length(), (m/e)^m <= m! <= m^m puts log2(m!)
+    between m*(L-3) and m*L: the low end for a factorial the count
+    multiplies by and the high end for one it divides by bound its bits.
+    """
+    for m, weight in factorials:
+        bits += weight * m * (m.bit_length() - (3 if weight > 0 else 0))
+    if bits > _INT_BITS:
+        raise ParameterRangeError("parameters too large to compute")
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -78,13 +99,17 @@ def _factorial_quotient(
 
     For n >= 2 and every m <= n, so only primes p <= n occur.  Each prime's
     exponent sums Legendre's formula over the factorials and power times its
-    exponent in n; the result is the product of the p^e over a balanced
-    product tree (Borwein, J. Algorithms 6, 1985), with no fraction or gcd.
-    A negative exponent means the quotient is not an integer, which the
-    counts' proofs rule out, so it raises InvariantViolation.
+    exponent in n.  The product of the p^e is then built by squaring over
+    the exponents' bits, top bit first: square the result, then multiply in
+    the product tree of the primes whose exponent has that bit set (Borwein,
+    J. Algorithms 6, 1985), with no fraction or gcd.  Most exponents are
+    small, so most primes meet only the last few bits.  A negative exponent
+    means the quotient is not an integer, which the counts' proofs rule
+    out, so it raises InvariantViolation.
     """
-    powers = []
-    for p in _primes_upto(n):
+    primes = _primes_upto(n)
+    exponents = []
+    for p in primes:
         e = sum(weight * _legendre(m, p) for m, weight in factorials)
         q = n
         while q % p == 0:
@@ -94,8 +119,14 @@ def _factorial_quotient(
             raise InvariantViolation(
                 f"{what} is not an integer: prime {p} has exponent {e}"
             )
-        powers.append(p**e)
-    return product_levels(powers)[-1][0]
+        exponents.append(e)
+    result = 1
+    for bit in reversed(range(max(exponents).bit_length())):
+        result *= result
+        chosen = list(compress(primes, [e >> bit & 1 for e in exponents]))
+        if chosen:
+            result *= product_levels(chosen)[-1][0]
+    return result
 
 
 def count_forests(b: int, s: int, k: int) -> int:
@@ -137,13 +168,18 @@ def count_hypercycles(b: int, s: int, form: HypercycleForm = "closed") -> int:
     Either way the count is one exact division.
     """
     check_shape(b, s, min_s=2)
+    n = s * (b - 1)
+    # both forms are the closed form's value: (b-1) * n! * n^(s-1) over
+    # 2 * (b-1)!^s * s * (s-2)!, with n^(s-1) >= 2^((L-1)*(s-1)), L = n's bits
+    _ensure_holdable(
+        (s - 1) * (n.bit_length() - 1) - 1 - s.bit_length(), [(n, 1), (b - 1, -s), (s - 2, -1)]
+    )
     if form == "closed":
         factor = Fraction(1, s * factorial(s - 2))
     elif form == "sum":
         factor = _cycle_sum(s)
     else:
         raise ParameterRangeError(f"unknown hypercycle form {form!r}")
-    n = s * (b - 1)
     return _as_count(
         (b - 1) * factorial(n) * n ** (s - 1) * factor.numerator,
         2 * factorial(b - 1) ** s * factor.denominator,
@@ -171,8 +207,10 @@ def hypercycle_class_count(b: int, s: int, j: int) -> int:
     check_shape(b, s, min_s=2)
     if j < 2 or j > s:
         raise ParameterRangeError(f"cycle length j={j} must lie in 2..{s}")
+    n = s * (b - 1)
+    _ensure_holdable(-1, [(n, 1), (s - j, -1), (b - 1, j - s), (b - 2, -j)])
     return _as_count(
-        factorial(s * (b - 1)) * j * (b - 1),
+        factorial(n) * j * (b - 1),
         2 * factorial(s - j) * factorial(b - 1) ** (s - j) * factorial(b - 2) ** j,
         f"hypercycle class count for b={b}, s={s}, j={j}",
     )

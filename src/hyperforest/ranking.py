@@ -278,8 +278,14 @@ def generate_ids(shape: ForestShape, m: int) -> list[ForestCode]:
 
 def _id_stream(shape: ForestShape, m: int) -> Iterator[ForestCode]:
     """generate_ids one code at a time.  m is checked against the code count
-    on the call, and the radices' product tree is built once for all m
-    unranks; each code is unranked as it is read."""
+    on the call, before the first code; each code is built as it is read.
+
+    The s-1 links are the numeral's last digits, so code i+1 is code i with
+    its link numeral stepped by one in base n, as a mixed-radix odometer
+    (Knuth, TAOCP 4A, 7.2.1.1, Algorithm M) that keeps the roots, final
+    root and blocks.  Only the first code, and a code reached by a carry out
+    of the first link, is unranked over the radices' product tree.
+    """
     if m < 0:
         raise ParameterRangeError(f"id count m={m} must be at least 0")
     levels = _levels(shape)
@@ -288,4 +294,22 @@ def _id_stream(shape: ForestShape, m: int) -> Iterator[ForestCode]:
         raise ParameterRangeError(
             f"requested {m} ids but the shape has only {total} codes"
         )
-    return (_unrank(i, shape, levels) for i in range(m))
+    return _odometer(shape, levels, m)
+
+
+def _odometer(shape: ForestShape, levels: list[list[int]], m: int) -> Iterator[ForestCode]:
+    """The first m codes, unranking only where a carry leaves the links."""
+    n = shape.n
+    links: list[int] = []  # no code yet: the first step carries out
+    for i in range(m):
+        j = len(links) - 1
+        while j >= 0 and links[j] == n:
+            links[j] = 1
+            j -= 1
+        if j < 0:
+            code = _unrank(i, shape, levels)
+            links = list(code.links)
+        else:
+            links[j] += 1
+            code = ForestCode(shape, code.roots, code.final_root, code.blocks, tuple(links))
+        yield code

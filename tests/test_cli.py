@@ -726,6 +726,17 @@ class TestIds:
         assert len(lines) == 9
         assert len(set(lines)) == 9
 
+    def test_lines_are_the_unranked_documents(self, capsys):
+        # 500 codes with two links on 1..5: the 60 ids pass two carries
+        shape = ["--b", "2", "--s", "3", "--k", "1"]
+        status, out, _ = run_cli(capsys, ["ids", *shape, "--m", "60"])
+        assert status == 0
+        lines = []
+        for i in range(60):
+            _, doc, _ = run_cli(capsys, ["unrank", *shape, "--index", str(i)])
+            lines.append(json.dumps(json.loads(doc), separators=(",", ":")) + "\n")
+        assert out == "".join(lines)
+
     def test_too_many_identifiers(self, capsys):
         # 9 codes in the space: the stream refuses before its first code
         status, out, err = run_cli(
@@ -766,6 +777,24 @@ class TestParametersTooLargeToCompute:
         status, out, err = run_cli(capsys, argv)
         assert (status, out) == (2, "")
         assert err == '{"error":"range","message":"parameters too large to compute"}\n'
+
+    # n fits the C long that math.factorial takes, yet no int could hold the
+    # count: the refusal comes before the factorial, which would run for hours
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--kind", "hypercycles", "--b", "3", "--s", str(2**63)],
+            ["count", "--kind", "hypercycles", "--b", "3", "--s", str(2**63), "--form", "sum"],
+            ["count", "--kind", "hypercycle-class", "--b", "3", "--s", str(2**61), "--j", "2"],
+        ],
+        ids=["hypercycles", "hypercycles-sum", "hypercycle-class"],
+    )
+    def test_huge_hypercycle_counts_are_refused_within_seconds(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperforest.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-m", "hyperforest.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=10)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == '{"error":"range","message":"parameters too large to compute"}\n'
 
 
 # code documents whose shape makes n, or k + 1, pass the 4300 digits that

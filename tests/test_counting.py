@@ -7,9 +7,11 @@ separately implemented formulas must satisfy on a grid.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperforest import (
     ForestShape,
@@ -22,6 +24,7 @@ from hyperforest import (
     cycle_sum_identity,
     hypercycle_class_count,
 )
+from hyperforest import counting
 from hyperforest.counting import _as_count, _factorial_quotient
 from conftest import range_message
 
@@ -93,7 +96,47 @@ def hypertree_fraction(b, s):
     return Fraction(factorial(n - 1) * n**s, factorial(s) * factorial(b - 1) ** s)
 
 
+def prime_exponents(n, power, factorials):
+    """{p: exponent of p in n**power * prod(m! ** weight)}, by trial division
+    of n and of every factor 1..m."""
+    exponents = {}
+    for value, times in [(n, power)] + [(i, w) for m, w in factorials for i in range(2, m + 1)]:
+        p = 2
+        while value > 1:
+            while value % p == 0:
+                value //= p
+                exponents[p] = exponents.get(p, 0) + times
+            p += 1
+    return exponents
+
+
+@st.composite
+def factorial_quotients(draw):
+    n = draw(st.integers(2, 120))
+    power = draw(st.one_of(st.integers(0, 10**4), st.sampled_from([1 << t for t in range(14)])))
+    factorials = draw(st.lists(st.tuples(st.integers(0, n), st.integers(-3, 3)), max_size=6))
+    # a factorial taken once and divided out once: its primes' exponents go to zero
+    cancelled = draw(st.lists(st.integers(0, n), max_size=2))
+    return n, power, factorials + [(m, w) for m in cancelled for w in (1, -1)]
+
+
 class TestFactorialQuotient:
+    @settings(max_examples=200, deadline=None)
+    @given(factorial_quotients())
+    @example((2, 0, [(2, 1), (2, -1)]))  # every exponent zero
+    @example((97, 10**4, [(97, 1)]))  # power 10^4
+    @example((97, 1 << 13, [(3, 1)]))  # single-bit exponents: 1, 1 and 2^13
+    def test_equals_the_plain_product_of_prime_powers(self, quotient):
+        n, power, factorials = quotient
+        exponents = prime_exponents(n, power, factorials)
+        if min(exponents.values(), default=0) < 0:
+            with pytest.raises(InvariantViolation):
+                _factorial_quotient(n, power, factorials, "q")
+        else:
+            assert _factorial_quotient(n, power, factorials, "q") == prod(
+                p**e for p, e in exponents.items()
+            )
+
     def test_non_integral_quotient_is_an_invariant_violation(self):
         # 3^0 * 1! / 2! = 1/2: the prime 2 has exponent -1
         with pytest.raises(InvariantViolation) as info:
@@ -210,6 +253,37 @@ class TestHypercycleClassCount:
         with pytest.raises(ParameterRangeError) as info:
             hypercycle_class_count(b, s, 2)
         assert str(info.value) == range_message(b, s, min_s=2)
+
+
+class TestCountsNoIntHolds:
+    """The hypercycle counts refuse, before any factorial, a count whose bit
+    length provably passes the largest int's; the bound never passes the
+    bit length of a count that is computed."""
+
+    def test_bound_stays_within_each_counts_bits(self, monkeypatch):
+        for b in range(2, 7):
+            for s in range(2, 31):
+                counts = [("closed", count_hypercycles(b, s))]
+                counts += [(j, hypercycle_class_count(b, s, j)) for j in range(2, s + 1)]
+                for kind, count in counts:
+                    monkeypatch.setattr(counting, "_INT_BITS", count.bit_length())
+                    if kind == "closed":
+                        assert count_hypercycles(b, s) == count
+                    else:
+                        assert hypercycle_class_count(b, s, kind) == count
+
+    @pytest.mark.parametrize("form", ["closed", "sum"])
+    def test_hypercycles_past_the_limit(self, monkeypatch, form):
+        monkeypatch.setattr(counting, "_INT_BITS", 10**4)
+        with pytest.raises(ParameterRangeError) as info:
+            count_hypercycles(3, 10**4, form)
+        assert str(info.value) == "parameters too large to compute"
+
+    def test_hypercycle_class_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(counting, "_INT_BITS", 10**4)
+        with pytest.raises(ParameterRangeError) as info:
+            hypercycle_class_count(3, 10**4, 2)
+        assert str(info.value) == "parameters too large to compute"
 
 
 def hypercycle_fraction(b, s, form):

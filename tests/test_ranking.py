@@ -36,6 +36,13 @@ OUT_OF_RANGE_TEXTS = [
     (2, 1, 0, True, 46, "075e2aa53d823138"),
 ]
 
+# small shapes with s in 0..3 whose whole code space can be unranked code by code
+ID_SHAPES = [
+    shape
+    for shape in (ForestShape(b=b, s=s, k=k) for b in (2, 3, 4) for s in range(4) for k in range(3))
+    if code_space_size(shape) <= 2500
+]
+
 
 class TestCodeSpaceSize:
     def test_matches_forest_count_on_grid(self):
@@ -329,6 +336,14 @@ class TestGenerateIds:
     @pytest.mark.parametrize("b,s,k,m", [(2, 500, 1, 40), (5, 800, 3, 4), (3, 2000, 2, 4)])
     def test_equals_unrank_at_large_shapes(self, b, s, k, m):
         shape = ForestShape(b=b, s=s, k=k)
+        assert generate_ids(shape, m) == [unrank_code(i, shape) for i in range(m)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_unrank_up_to_the_whole_space(self, data):
+        # s = 0 and s = 1 have no links; past n^(s-1) ids a carry leaves them
+        shape = data.draw(st.sampled_from(ID_SHAPES))
+        m = data.draw(st.integers(0, code_space_size(shape)))
         assert generate_ids(shape, m) == [unrank_code(i, shape) for i in range(m)]
 
     def test_zero_ids(self):

@@ -14,7 +14,10 @@ one mixed-radix numeral.  Its digits, most significant first, are
 That makes 2s+1 digits, or the roots' digit alone when s = 0.  Combination
 digits are closed-form in the combinatorial number system (Knuth, TAOCP 4A
 7.2.1.3): positions c_0 < ... < c_{r-1} of a pool of L labels have
-lexicographic rank comb(L, r) - 1 - sum_i comb(L-1-c_i, r-i).
+lexicographic rank comb(L, r) - 1 - sum_i comb(L-1-c_i, r-i).  Unranking
+takes the members greedily; all but the last two are searched for, and
+those two are exact integer closed forms, so a block digit at b <= 4 is
+closed-form throughout.
 
 Sampling contract: draws are generated by CPython's Mersenne Twister
 (random.Random) seeded directly with the 64-bit seed.  Uniform integers
@@ -31,10 +34,11 @@ s! * ((b-1)!)^s shuffle outcomes, so the decoded forest is uniform.
 from __future__ import annotations
 
 import random
+import sys
 from bisect import bisect_left
 from collections.abc import Iterator
 from decimal import Decimal
-from math import comb
+from math import comb, isqrt
 
 from .codec import ForestCode, ForestShape, decode_code, ensure_valid_code, product_levels
 from .errors import ParameterRangeError
@@ -54,16 +58,25 @@ def _combination_rank(positions: list[int], pool_size: int) -> int:
 def _combination_unrank(index: int, pool_size: int, size: int) -> list[int]:
     """Ascending positions of the index-th size-subset of a pool, lexicographic.
 
-    Inverts _combination_rank greedily: with value = comb(pool_size-1-c, r),
-    each member is the first position c past the previous one with
-    value <= rest.  The position right after a member is tried first, its
-    value derived from the member's as comb(m-1, r-1) = comb(m, r)*r/m;
+    Inverts _combination_rank greedily.  With m = pool_size-1-c, each member
+    is the first position c past the previous one with comb(m, r) <= rest,
+    that is the largest such m; taking it leaves rest < comb(m, r-1), so the
+    next member lies further on.
+
+    For r >= 3 a search finds the member: the position right after the
+    previous member is tried first, its value derived from the member's as
+    comb(m-1, r-1) = comb(m, r)*r/m (m >= r-1 >= 2, so never over zero);
     past it a galloping search and then bisection find the member.
+
+    The last two members are exact integer closed forms.  At r = 2,
+    comb(m, 2) <= rest is (2m-1)^2 <= 8*rest + 1, and isqrt is the exact
+    floor of a square root at any size, so m = (1 + isqrt(1 + 8*rest)) // 2.
+    At r = 1, comb(m, 1) = m, so m = rest.
     """
     rest = comb(pool_size, size) - 1 - index
     positions = []
     c, value = -1, rest + 1  # no member yet: search from position 0
-    for r in range(size, 0, -1):
+    for r in range(size, 2, -1):
         if value > rest:
             low = high = c + 1
             step = 1
@@ -79,9 +92,22 @@ def _combination_unrank(index: int, pool_size: int, size: int) -> list[int]:
             c = high
         rest -= value
         positions.append(c)
-        value = value * r // max(pool_size - 1 - c, 1)  # m is 0 only at the last member
+        value = value * r // (pool_size - 1 - c)
         c += 1
+    if size >= 2:
+        m = (1 + isqrt(1 + 8 * rest)) // 2
+        positions.append(pool_size - 1 - m)
+        rest -= m * (m - 1) // 2
+    if size >= 1:
+        positions.append(pool_size - 1 - rest)
     return positions
+
+
+def _ensure_listable(shape: ForestShape) -> None:
+    """Refuse a shape whose code could not be built: a code lists all n
+    labels, and no list holds more than sys.maxsize entries."""
+    if shape.n > sys.maxsize:
+        raise ParameterRangeError("parameters too large to compute")
 
 
 def _levels(shape: ForestShape) -> list[list[int]]:
@@ -113,6 +139,7 @@ def unrank_code(index: int, shape: ForestShape) -> ForestCode:
     left child's value as quotient and the right child's as remainder, so
     every division meets a divisor about half its dividend's size.
     """
+    _ensure_listable(shape)
     return _unrank(index, shape, _levels(shape))
 
 
@@ -288,6 +315,7 @@ def _id_stream(shape: ForestShape, m: int) -> Iterator[ForestCode]:
     """
     if m < 0:
         raise ParameterRangeError(f"id count m={m} must be at least 0")
+    _ensure_listable(shape)
     levels = _levels(shape)
     total = levels[-1][0]
     if m > total:

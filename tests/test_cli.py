@@ -790,11 +790,32 @@ class TestParametersTooLargeToCompute:
         ids=["hypercycles", "hypercycles-sum", "hypercycle-class"],
     )
     def test_huge_hypercycle_counts_are_refused_within_seconds(self, argv):
-        env = dict(os.environ, PYTHONPATH=str(Path(hyperforest.__file__).parents[1]))
-        done = subprocess.run([sys.executable, "-m", "hyperforest.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=10)
-        assert (done.returncode, done.stdout) == (2, "")
-        assert done.stderr == '{"error":"range","message":"parameters too large to compute"}\n'
+        _assert_refused_within_seconds(argv)
+
+    # n passes sys.maxsize, so no list could hold a code's labels: the refusal
+    # comes before the radices are built or the k+1 roots are unranked
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["unrank", "--index", "5", "--b", "2", "--s", "1", "--k", str(10**20)],
+            ["ids", "--b", "2", "--s", "1", "--k", str(10**20), "--m", "1"],
+            ["unrank", "--index", "0", "--b", "2", "--s", str(10**19), "--k", "0"],
+            ["ids", "--b", "2", "--s", str(10**19), "--k", "0", "--m", "1"],
+        ],
+        ids=["unrank-k", "ids-k", "unrank-s", "ids-s"],
+    )
+    def test_codes_past_a_list_are_refused_within_seconds(self, argv):
+        _assert_refused_within_seconds(argv)
+
+
+def _assert_refused_within_seconds(argv):
+    """A fresh process, so that a call that runs without bound fails on the
+    timeout and not by exhausting the test runner's memory."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperforest.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "hyperforest.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == '{"error":"range","message":"parameters too large to compute"}\n'
 
 
 # code documents whose shape makes n, or k + 1, pass the 4300 digits that

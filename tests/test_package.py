@@ -247,3 +247,37 @@ def test_hypertrees_are_counted_as_one_tree_forests():
     }
     assert "count_forests" in called
     assert "_factorial_quotient" not in called
+
+
+_FLOAT_MATH = {"sqrt", "log", "lgamma", "pow"}
+
+
+def _float_uses(tree: ast.AST) -> list[int]:
+    """Line numbers of true division, float constants, float() and the math
+    functions that return floats."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float":
+            lines.append(node.lineno)
+        elif (
+            isinstance(node, ast.Attribute)
+            and getattr(node.value, "id", None) == "math"
+            and node.attr in _FLOAT_MATH
+        ):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            if {alias.name for alias in node.names} & _FLOAT_MATH:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_ranking_and_counting_use_no_floats():
+    """Counts, ranks and the combination closed forms are exact integers at
+    any size; a float would round them past 2^53."""
+    for name in ("ranking.py", "counting.py"):
+        path = Path(hyperforest.__file__).parent / name
+        assert _float_uses(ast.parse(path.read_text(encoding="utf-8"))) == [], name

@@ -2,6 +2,8 @@
 
 import hashlib
 import sys
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from hyperforest import (
     validate_code,
     validate_forest,
 )
+from hyperforest.ranking import _combination_rank, _combination_unrank
 from conftest import SWEEP_SHAPES
 
 # (b, s, k, past_end, length, sha256 prefix) of the out-of-range refusal
@@ -155,6 +158,36 @@ class TestRank:
         shape = ForestShape(b=3, s=9, k=3)
         index %= code_space_size(shape)
         assert rank_code(unrank_code(index, shape)) == index
+
+
+class TestCombinationDigit:
+    """The combination digit against its definitions: lexicographic order of
+    subsets, and _combination_rank as the inverse."""
+
+    def test_unrank_follows_itertools_order(self):
+        for pool_size in range(13):
+            for size in range(pool_size + 1):
+                expected = list(combinations(range(pool_size), size))
+                got = [
+                    tuple(_combination_unrank(i, pool_size, size))
+                    for i in range(comb(pool_size, size))
+                ]
+                assert got == expected, (pool_size, size)
+
+    # pools past 2^53, where a float square root would round the closed forms
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_at_huge_pools(self, data):
+        size = data.draw(st.integers(0, 5))
+        pool_size = data.draw(st.integers(size, 10**40))
+        total = comb(pool_size, size)
+        drawn = data.draw(st.integers(0, total - 1))
+        for index in (0, total - 1, drawn):
+            positions = _combination_unrank(index, pool_size, size)
+            assert len(positions) == size
+            assert all(0 <= c < pool_size for c in positions)
+            assert positions == sorted(set(positions))
+            assert _combination_rank(positions, pool_size) == index
 
 
 class TestSampling:
@@ -305,6 +338,13 @@ class TestGoldenIndexes:
                 13732407124725344948588446515870086600702991041334610611927056041802534217840903475496084911818939263280314930820963673028582219932889126384032476187803842,
                 ["68b2a0397a516bf6", "bbb41b26c1a5496e", "8ddc013f895418ef"],
             ),
+            # b = 4: each block digit is a 2-combination, the closed-form
+            # members alone; recorded before those closed forms replaced the search
+            (
+                4, 50, 2, 17,
+                408306691536016510445002098746977087416925662800199605817422997010508399793551359249929867004763548684895821668311310167624474768521920328705923346150103218208548049050922808751383935743055083122890900559317543567141904115193125168325065009370414987426600414779639758415540,
+                ["f71397f4e37c903b", "82c7ab803648dda8", "c34f1333e6359c18"],
+            ),
         ],
     )
     def test_rank_and_unrank(self, b, s, k, seed, rank, digests):
@@ -356,6 +396,15 @@ class TestGenerateIds:
     def test_rejects_negative_count(self):
         with pytest.raises(ParameterRangeError):
             generate_ids(ForestShape(b=2, s=2, k=0), -1)
+
+    def test_refuses_a_code_no_list_could_hold(self):
+        # n = 10^20 + 2 labels; the code count, n roots' choices times k + 1
+        # final roots, is still computed
+        shape = ForestShape(b=2, s=1, k=10**20)
+        assert code_space_size(shape) == (10**20 + 2) * (10**20 + 1)
+        for call in (lambda: generate_ids(shape, 1), lambda: unrank_code(0, shape)):
+            with pytest.raises(ParameterRangeError, match="^parameters too large to compute$"):
+                call()
 
     def test_ids_encode_back_to_their_index(self):
         shape = ForestShape(b=2, s=3, k=0)

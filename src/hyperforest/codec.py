@@ -28,6 +28,7 @@ valid, and a refusal raises with the validate function's report.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from heapq import heapify, heappop, heappush
@@ -282,9 +283,11 @@ def decode_code(code: ForestCode) -> RootedForest:
     block at most u-1 of them, and final_root, a root, blocks none.
 
     The checks below fix every count, every label >= 1 and final_root; if
-    the passes filling the label arrays then meet no label above n and none
-    twice, the k+1 roots and s(b-1) block labels are the n labels 1..n, so
-    the blocks partition the non-roots.  Refusals carry validate_code's report.
+    :func:`_replay` then meets no label above n and none twice, the k+1 roots
+    and s(b-1) block labels are the n labels 1..n, so the blocks partition
+    the non-roots.  Refusals carry validate_code's report.  The sampler's
+    stream hands its raw draws to _replay itself: it builds no code, since
+    its parts are valid by construction.
     """
     shape = code.shape
     b, s, k, n = shape.b, shape.s, shape.k, shape.n
@@ -297,9 +300,30 @@ def decode_code(code: ForestCode) -> RootedForest:
         or (s and (set(map(len, blocks)) != {b - 1} or blocks[0][0] < 1))
     ):
         _reject(code, ensure_valid_code)
-    if s == 0:
-        return RootedForest(n=n, b=b, edges=(), roots=roots)
+    edges = _replay(n, s, roots, final_root, blocks, links)
+    if edges is None:
+        _reject(code, ensure_valid_code)
+    return RootedForest(n=n, b=b, edges=edges, roots=roots)
 
+
+def _replay(
+    n: int,
+    s: int,
+    roots: Sequence[VertexId],
+    final_root: VertexId | None,
+    blocks: Sequence[Block],
+    links: Sequence[VertexId],
+) -> list[Hyperedge] | None:
+    """decode_code's replay: the forest's edges, in replay order, or None on
+    a label above n, a label placed twice, or a root inside a block.
+
+    The blocks may come in any order, and each block's labels in any order:
+    a block's heap key is its smallest label, found by the placement loop,
+    which visits every label anyway; a min() call per block costs more.
+    The caller fixes the counts, every label >= 1 and final_root as a root.
+    """
+    if not s:
+        return []
     try:
         occurrences = [0] * (n + 1)
         for v in links:
@@ -309,21 +333,26 @@ def decode_code(code: ForestCode) -> RootedForest:
         for r in roots:
             block_of[r] = s
         # heap entries are smallest_label * s + block_id, single-int comparisons
+        smallest = [0] * s
         pending = [0] * s
         heap: list[int] = []
         for j, blk in enumerate(blocks):
             c = 0
+            low = blk[0]
             for v in blk:
                 if block_of[v] != -1:  # a root, or a label already placed
-                    _reject(code, ensure_valid_code)
+                    return None
                 block_of[v] = j
                 if occurrences[v]:
                     c += 1
+                if v < low:
+                    low = v
+            smallest[j] = low
             pending[j] = c
             if c == 0:
-                heap.append(blk[0] * s + j)
+                heap.append(low * s + j)
     except IndexError:  # a label above n
-        _reject(code, ensure_valid_code)
+        return None
     heapify(heap)
 
     edges: list[Hyperedge] = []
@@ -338,6 +367,5 @@ def decode_code(code: ForestCode) -> RootedForest:
             if bj < s:
                 pending[bj] -= 1
                 if pending[bj] == 0:
-                    heappush(heap, blocks[bj][0] * s + bj)
-
-    return RootedForest(n=n, b=b, edges=edges, roots=roots)
+                    heappush(heap, smallest[bj] * s + bj)
+    return edges

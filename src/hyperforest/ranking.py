@@ -29,6 +29,11 @@ selection over 1..n, the final root's position, a full shuffle of the
 non-root labels (chunked into consecutive blocks of b-1), then each link
 uniformly on 1..n.  Each block partition arises from exactly
 s! * ((b-1)!)^s shuffle outcomes, so the decoded forest is uniform.
+
+sample_code puts a draw's parts in a canonical ForestCode.  The forest
+stream does not: it hands each draw's raw parts to decode's replay, which
+reads blocks in any order.  The draws, and every seed's forests, are
+unchanged: each forest is the one its drawn code decodes to.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from collections.abc import Iterator
 from decimal import Decimal
 from math import comb, isqrt
 
-from .codec import ForestCode, ForestShape, decode_code, ensure_valid_code, product_levels
+from .codec import ForestCode, ForestShape, _replay, ensure_valid_code, product_levels
 from .errors import ParameterRangeError
 from .forest import RootedForest
 
@@ -225,23 +230,34 @@ def _shuffle(rng: random.Random, values: list[int]) -> None:
     """Fisher-Yates, descending positions.
 
     Each position is _uniform_below(rng, i + 1), inlined: the same bits and
-    the same rejections, so the same draws, with fewer Python calls.
+    the same rejections, so the same draws, with fewer Python calls.  The
+    positions are walked one band at a time, the band of the i sharing
+    (i + 1).bit_length(), so that width is worked out once per band; the
+    getrandbits calls, and their order, are those of a per-position walk.
     """
     getrandbits = rng.getrandbits
-    for i in range(len(values) - 1, 0, -1):
-        bits = (i + 1).bit_length()
-        j = getrandbits(bits)
-        while j > i:
+    top = len(values) - 1
+    for bits in range(len(values).bit_length(), 1, -1):
+        low = (1 << (bits - 1)) - 1  # the smallest i with (i + 1).bit_length() == bits
+        for i in range(top, low - 1, -1):
             j = getrandbits(bits)
-        values[i], values[j] = values[j], values[i]
+            while j > i:
+                j = getrandbits(bits)
+            values[i], values[j] = values[j], values[i]
+        top = low - 1
 
 
 def sample_code(shape: ForestShape, seed: int) -> ForestCode:
     """Draw a uniformly random code of the shape, deterministic in the seed."""
-    return _draw_code(shape, _rng(seed))
+    return ForestCode(shape, *_draw(shape, _rng(seed)))
 
 
-def _draw_code(shape: ForestShape, rng: random.Random) -> ForestCode:
+def _draw(
+    shape: ForestShape, rng: random.Random
+) -> tuple[tuple[int, ...], int | None, list[tuple[int, ...]], list[int]]:
+    """One draw's raw parts: the sorted roots, the final root, the shuffled
+    pool's consecutive chunks of b-1 as blocks, and the links.  The blocks
+    are in draw order and unsorted; ForestCode or _replay reads them."""
     b, s, k, n = shape.b, shape.s, shape.k, shape.n
     labels = list(range(1, n + 1))
     for i in range(k + 1):
@@ -251,9 +267,7 @@ def _draw_code(shape: ForestShape, rng: random.Random) -> ForestCode:
     final_root = roots[_uniform_below(rng, k + 1)] if s else None
     pool = sorted(labels[k + 1 :])
     _shuffle(rng, pool)
-    blocks = tuple(
-        tuple(pool[i * (b - 1) : (i + 1) * (b - 1)]) for i in range(s)
-    )
+    blocks = list(zip(*[iter(pool)] * (b - 1)))
     # each link is 1 + _uniform_below(rng, n), inlined as in _shuffle
     getrandbits = rng.getrandbits
     bits = n.bit_length()
@@ -263,16 +277,17 @@ def _draw_code(shape: ForestShape, rng: random.Random) -> ForestCode:
         while link >= n:
             link = getrandbits(bits)
         links.append(link + 1)
-    return ForestCode(shape, roots, final_root, blocks, tuple(links))
+    return roots, final_root, blocks, links
 
 
 def sample_forest(shape: ForestShape, seed: int) -> RootedForest:
     """Draw a uniformly random forest of the shape, deterministic in the seed.
 
     Uniform because the code parts are drawn uniformly and independently and
-    the decoder is a bijection onto the forests of the shape.
+    the decoder is a bijection onto the forests of the shape.  It is the
+    first forest of the seed's stream.
     """
-    return decode_code(sample_code(shape, seed))
+    return next(_sample_stream(shape, seed, 1))
 
 
 def sample_forests(shape: ForestShape, seed: int, m: int) -> list[RootedForest]:
@@ -287,11 +302,23 @@ def sample_forests(shape: ForestShape, seed: int, m: int) -> list[RootedForest]:
 def _sample_stream(shape: ForestShape, seed: int, m: int) -> Iterator[RootedForest]:
     """sample_forests one forest at a time.  The seed and m are checked on
     the call, before the first draw; each forest is drawn and decoded as it
-    is read, so a reader holds one forest at a time."""
+    is read, so a reader holds one forest at a time.
+
+    Each draw's parts go straight to decode's replay, with no code built in
+    between: the stream made them, so they are valid by construction and
+    the replay refuses none."""
     rng = _rng(seed)
     if m < 0:
         raise ParameterRangeError(f"draw count m={m} must be at least 0")
-    return (decode_code(_draw_code(shape, rng)) for _ in range(m))
+    n, b, s = shape.n, shape.b, shape.s
+
+    def forests() -> Iterator[RootedForest]:
+        for _ in range(m):
+            roots, final_root, blocks, links = _draw(shape, rng)
+            edges = _replay(n, s, roots, final_root, blocks, links)
+            yield RootedForest(n=n, b=b, edges=edges, roots=roots)
+
+    return forests()
 
 
 def generate_ids(shape: ForestShape, m: int) -> list[ForestCode]:

@@ -185,6 +185,27 @@ def test_codec_directions_run_no_separate_validation_pass():
             used = getattr(node, "id", None) or getattr(node, "attr", None)
             if used in checkers:
                 assert id(node) in handed_over, (name, used, node.lineno)
+    # the replay, which the sampler's stream also runs, refuses by returning
+    # None and leaves the wording to decode_code
+    for node in ast.walk(functions["_replay"]):
+        used = getattr(node, "id", None) or getattr(node, "attr", None)
+        assert used not in checkers | {"_reject"}, ("_replay", used, node.lineno)
+
+
+def test_sample_stream_builds_no_code():
+    """The stream hands each draw's raw parts to decode's replay: no
+    ForestCode, so no canonical sort and no decode checks, between them."""
+    path = Path(hyperforest.__file__).parent / "ranking.py"
+    (function,) = (
+        node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_sample_stream"
+    )
+    used = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for node in ast.walk(function)
+    }
+    assert {"_draw", "_replay", "RootedForest"} <= used
+    assert not used & {"ForestCode", "sample_code", "decode_code"}
 
 
 def test_validate_forest_counts_and_does_not_group():

@@ -1,6 +1,7 @@
 """Tests for ranking, unranking, uniform sampling, and id generation."""
 
 import hashlib
+import random
 import sys
 from itertools import combinations
 from math import comb
@@ -27,7 +28,7 @@ from hyperforest import (
     validate_code,
     validate_forest,
 )
-from hyperforest.ranking import _combination_rank, _combination_unrank
+from hyperforest.ranking import _combination_rank, _combination_unrank, _draw, _shuffle
 from conftest import SWEEP_SHAPES
 
 # (b, s, k, past_end, length, sha256 prefix) of the out-of-range refusal
@@ -232,6 +233,45 @@ class TestSampling:
         seen = {sample_forest(shape, seed) for seed in range(200)}
         assert len(seen) == 9
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        b=st.integers(2, 6),
+        s=st.integers(0, 60),
+        k=st.integers(0, 4),
+        seed=st.integers(0, (1 << 64) - 1),
+        m=st.integers(1, 5),
+    )
+    def test_stream_decodes_the_codes_it_draws(self, b, s, k, seed, m):
+        # the stream replays its raw draws; decoding each draw's canonical
+        # code from the same generator must give the same forests
+        shape = ForestShape(b=b, s=s, k=k)
+        rng = random.Random(seed)
+        expected = [decode_code(ForestCode(shape, *_draw(shape, rng))) for _ in range(m)]
+        assert sample_forests(shape, seed, m) == expected
+
+
+def _plain_shuffle(rng: random.Random, values: list[int]) -> None:
+    """Fisher-Yates over descending positions, one rejection draw per position."""
+    for i in range(len(values) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = rng.getrandbits(bits)
+        while j > i:
+            j = rng.getrandbits(bits)
+        values[i], values[j] = values[j], values[i]
+
+
+@pytest.mark.parametrize("seed", [0, 20111001, (1 << 64) - 1])
+def test_shuffle_matches_a_plain_fisher_yates(seed):
+    # lengths past 1024 cross a band boundary of the draws' bit width; equal
+    # generator states afterwards mean the same getrandbits calls were made
+    ours, plain = random.Random(seed), random.Random(seed)
+    for length in range(1101):
+        got, expected = list(range(length)), list(range(length))
+        _shuffle(ours, got)
+        _plain_shuffle(plain, expected)
+        assert got == expected, length
+        assert ours.getstate() == plain.getstate(), length
+
 
 class TestGoldenDraws:
     """Pinned draws: the sampling contract fixes the stream for every seed,
@@ -297,11 +337,21 @@ class TestGoldenDraws:
                     (((1, 3, 7, 11), (2, 3, 9, 10), (2, 4, 5, 12)), (1, 6, 8)),
                 ],
             ),
+            # s = 0 replays nothing, and s = 1 replays the final root alone
+            (3, 0, 2, 5, [((), (1, 2, 3)), ((), (1, 2, 3))]),
+            (3, 1, 1, 7, [(((1, 3, 4),), (2, 3)), (((1, 2, 3),), (1, 4))]),
+            (2, 1, 2, 20260816, [(((2, 3),), (1, 3, 4)), (((3, 4),), (1, 2, 4))]),
+            # pools of 1030 and 1040 labels, whose shuffles cross 2^10, where
+            # the position draws' bit width moves
+            (2, 1030, 0, 3, "8051a9adaf1a248c"),
+            (3, 520, 3, 11, "d2fab8bae22324ee"),
         ],
     )
     def test_sample_forests(self, b, s, k, seed, draws):
         shape = ForestShape(b=b, s=s, k=k)
         got = [(f.edges, f.roots) for f in sample_forests(shape, seed, 2)]
+        if isinstance(draws, str):  # a sha256 prefix of the two draws' repr
+            got = hashlib.sha256(repr(got).encode()).hexdigest()[:16]
         assert got == draws
 
 

@@ -66,7 +66,8 @@ from .oracle import (
 from .ranking import rank_code, unrank_code
 
 # sample and ids iterate the ranking streams, printing each document as it is
-# made; the streams keep the list functions' names, which a tracer wraps
+# made (ids gets each step's parts, not a code); the streams keep the list
+# functions' names, which a tracer wraps
 from .ranking import _id_stream as generate_ids, _sample_stream as sample_forests
 
 
@@ -84,8 +85,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 # the one compact encoder: JSON lines, error lines, and the integer lists
-# that _pretty re-indents
-_compact = json.JSONEncoder(separators=(",", ":")).encode
+# that _pretty re-indents.  Every value it meets is an acyclic dict, list or
+# tuple that this module built, so the cycle check is skipped: same bytes
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
 
 def _pretty(value: Any, indent: str = "") -> str:
@@ -390,9 +392,17 @@ def _cmd_unrank(args: argparse.Namespace) -> int:
 
 
 def _cmd_ids(args: argparse.Namespace) -> int:
+    # the stream steps only the links, which a document keeps last as N: the
+    # rest of each line is encoded once per unranked code
     shape = _shape_from_args(args)
-    for code in generate_ids(shape, args.m):
-        _print_line(code_to_document(code))
+    code = head = None
+    for unranked, links in generate_ids(shape, args.m):
+        if unranked is not code:
+            code = unranked
+            document = code_to_document(code)
+            del document["N"]
+            head = _compact(document)[:-1] + ',"N":'
+        print(head + _compact(links) + "}")
     return 0
 
 

@@ -15,8 +15,8 @@ That makes 2s+1 digits, or the roots' digit alone when s = 0.  Combination
 digits are closed-form in the combinatorial number system (Knuth, TAOCP 4A
 7.2.1.3): positions c_0 < ... < c_{r-1} of a pool of L labels have
 lexicographic rank comb(L, r) - 1 - sum_i comb(L-1-c_i, r-i).  Unranking
-takes the members greedily; all but the last two are searched for, and
-those two are exact integer closed forms, so a block digit at b <= 4 is
+takes the members greedily; all but the last three are searched for, and
+those three are exact integer closed forms, so a block digit at b <= 5 is
 closed-form throughout.
 
 Sampling contract: draws are generated by CPython's Mersenne Twister
@@ -38,7 +38,9 @@ unchanged: each forest is the one its drawn code decodes to.
 
 from __future__ import annotations
 
+import os
 import random
+import struct
 import sys
 from bisect import bisect_left
 from collections.abc import Iterator
@@ -68,20 +70,23 @@ def _combination_unrank(index: int, pool_size: int, size: int) -> list[int]:
     that is the largest such m; taking it leaves rest < comb(m, r-1), so the
     next member lies further on.
 
-    For r >= 3 a search finds the member: the position right after the
+    For r >= 4 a search finds the member: the position right after the
     previous member is tried first, its value derived from the member's as
-    comb(m-1, r-1) = comb(m, r)*r/m (m >= r-1 >= 2, so never over zero);
+    comb(m-1, r-1) = comb(m, r)*r/m (m >= r-1 >= 3, so never over zero);
     past it a galloping search and then bisection find the member.
 
-    The last two members are exact integer closed forms.  At r = 2,
-    comb(m, 2) <= rest is (2m-1)^2 <= 8*rest + 1, and isqrt is the exact
-    floor of a square root at any size, so m = (1 + isqrt(1 + 8*rest)) // 2.
-    At r = 1, comb(m, 1) = m, so m = rest.
+    The last three members are exact integer closed forms.  At r = 3, with
+    t = m-1, 6*comb(m, 3) = t^3 - t, so the floor c of the cube root of
+    6*rest has t^3 - t <= 6*rest < (c+1)^3, which leaves t = c or c+1:
+    m = c+1, or c+2 when comb(c+2, 3) <= rest.  At r = 2, comb(m, 2) <= rest
+    is (2m-1)^2 <= 8*rest + 1, and isqrt is the exact floor of a square
+    root at any size, so m = (1 + isqrt(1 + 8*rest)) // 2.  At r = 1,
+    comb(m, 1) = m, so m = rest.
     """
     rest = comb(pool_size, size) - 1 - index
     positions = []
     c, value = -1, rest + 1  # no member yet: search from position 0
-    for r in range(size, 2, -1):
+    for r in range(size, 3, -1):
         if value > rest:
             low = high = c + 1
             step = 1
@@ -99,6 +104,12 @@ def _combination_unrank(index: int, pool_size: int, size: int) -> list[int]:
         positions.append(c)
         value = value * r // (pool_size - 1 - c)
         c += 1
+    if size >= 3:
+        m = _icbrt(6 * rest) + 1
+        if comb(m + 1, 3) <= rest:
+            m += 1
+        positions.append(pool_size - 1 - m)
+        rest -= comb(m, 3)
     if size >= 2:
         m = (1 + isqrt(1 + 8 * rest)) // 2
         positions.append(pool_size - 1 - m)
@@ -108,10 +119,36 @@ def _combination_unrank(index: int, pool_size: int, size: int) -> list[int]:
     return positions
 
 
+def _icbrt(x: int) -> int:
+    """Floor of the cube root of x >= 0, exact at any size.
+
+    Newton's step y -> (2y + x // y^2) // 3 never falls below the floor
+    (the arithmetic-geometric mean inequality, and floors keep it), and
+    from any y above the floor it goes strictly down, since then y^3 > x.
+    So from a power of two above the root the steps fall to the floor and
+    stop there.
+    """
+    if not x:
+        return 0
+    y = 1 << -(-x.bit_length() // 3)
+    while True:
+        z = (2 * y + x // (y * y)) // 3
+        if z >= y:
+            return y
+        y = z
+
+
 def _ensure_listable(shape: ForestShape) -> None:
     """Refuse a shape whose code could not be built: a code lists all n
-    labels, and no list holds more than sys.maxsize entries."""
-    if shape.n > sys.maxsize:
+    labels, and no list holds more than sys.maxsize entries, nor more
+    pointer slots than physical memory holds, where os.sysconf reports it.
+    Past that bound the radices alone would grow memory without end."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        memory = 0
+    n = shape.n
+    if n > sys.maxsize or 0 < memory < n * struct.calcsize("P"):
         raise ParameterRangeError("parameters too large to compute")
 
 
@@ -327,18 +364,27 @@ def generate_ids(shape: ForestShape, m: int) -> list[ForestCode]:
     Distinct by construction, with no repetition check needed; decoding them
     yields m distinct forests, usable as structured unique identifiers.
     """
-    return list(_id_stream(shape, m))
+    return [
+        ForestCode(shape, code.roots, code.final_root, code.blocks, links)
+        for code, links in _id_stream(shape, m)
+    ]
 
 
-def _id_stream(shape: ForestShape, m: int) -> Iterator[ForestCode]:
-    """generate_ids one code at a time.  m is checked against the code count
-    on the call, before the first code; each code is built as it is read.
+def _id_stream(
+    shape: ForestShape, m: int
+) -> Iterator[tuple[ForestCode, tuple[int, ...]]]:
+    """generate_ids one step at a time, as parts: the code last unranked and
+    the links of this one.  m is checked against the code count on the call,
+    before the first step; each step is made as it is read.
 
     The s-1 links are the numeral's last digits, so code i+1 is code i with
     its link numeral stepped by one in base n, as a mixed-radix odometer
     (Knuth, TAOCP 4A, 7.2.1.1, Algorithm M) that keeps the roots, final
     root and blocks.  Only the first code, and a code reached by a carry out
-    of the first link, is unranked over the radices' product tree.
+    of the first link, is unranked over the radices' product tree.  A step
+    builds no code: generate_ids puts each in a ForestCode, and the CLI
+    encodes an unranked code's head once and prints each step's links
+    after it.
     """
     if m < 0:
         raise ParameterRangeError(f"id count m={m} must be at least 0")
@@ -352,8 +398,11 @@ def _id_stream(shape: ForestShape, m: int) -> Iterator[ForestCode]:
     return _odometer(shape, levels, m)
 
 
-def _odometer(shape: ForestShape, levels: list[list[int]], m: int) -> Iterator[ForestCode]:
-    """The first m codes, unranking only where a carry leaves the links."""
+def _odometer(
+    shape: ForestShape, levels: list[list[int]], m: int
+) -> Iterator[tuple[ForestCode, tuple[int, ...]]]:
+    """The first m steps of _id_stream, unranking only where a carry leaves
+    the links; every other step is the unranked code and stepped links."""
     n = shape.n
     links: list[int] = []  # no code yet: the first step carries out
     for i in range(m):
@@ -364,7 +413,7 @@ def _odometer(shape: ForestShape, levels: list[list[int]], m: int) -> Iterator[F
         if j < 0:
             code = _unrank(i, shape, levels)
             links = list(code.links)
+            yield code, code.links
         else:
             links[j] += 1
-            code = ForestCode(shape, code.roots, code.final_root, code.blocks, tuple(links))
-        yield code
+            yield code, tuple(links)

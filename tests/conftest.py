@@ -117,8 +117,13 @@ def small_codes():
                                 yield ForestCode(shape, roots, final_root, blocks, links)
 
 
+def malformed_codes():
+    """Miscounted codes, and well-counted codes with one label moved."""
+    return st.one_of(_miscounted_codes(), _moved_label_codes())
+
+
 @st.composite
-def malformed_codes(draw):
+def _miscounted_codes(draw):
     """Codes of any small shape with labels just outside 1..n, repeats,
     blocks of the wrong size and wrong counts of roots, blocks and links."""
     b = draw(st.integers(2, 4))
@@ -134,6 +139,37 @@ def malformed_codes(draw):
     final_root = draw(st.one_of(st.none(), label, st.sampled_from(roots or [1])))
     blocks = draw(st.lists(block, min_size=max(s - 1, 0), max_size=s + 1))
     links = draw(st.lists(label, min_size=max(s - 2, 0), max_size=s))
+    return ForestCode(shape, tuple(roots), final_root, tuple(blocks), tuple(links))
+
+
+@st.composite
+def _moved_label_codes(draw):
+    """Codes with the right counts of roots, blocks, block labels and links,
+    so that they pass decode's count checks and reach its replay, with one
+    label moved: a block label repeated, n+1 in a block or a link, or a
+    root placed inside a block."""
+    b = draw(st.integers(2, 4))
+    s = draw(st.integers(1, 4))
+    k = draw(st.integers(0, 2))
+    shape = ForestShape(b=b, s=s, k=k)
+    n = shape.n
+    labels = draw(st.permutations(range(1, n + 1)))
+    roots = labels[: k + 1]
+    cells = list(labels[k + 1 :])  # the block labels, b-1 to a block
+    links = draw(st.lists(st.integers(1, n), min_size=s - 1, max_size=s - 1))
+    moves = ["repeat", "block-n-plus-1", "root-in-block"] + (["link-n-plus-1"] if links else [])
+    move = draw(st.sampled_from(moves))
+    i = draw(st.integers(0, len(cells) - 1))
+    if move == "repeat" and len(cells) > 1:
+        cells[i] = cells[draw(st.sampled_from([j for j in range(len(cells)) if j != i]))]
+    elif move == "root-in-block":
+        cells[i] = draw(st.sampled_from(roots))
+    elif move == "link-n-plus-1":
+        links[draw(st.integers(0, len(links) - 1))] = n + 1
+    else:  # n + 1 in a block, also where a single label has none to repeat
+        cells[i] = n + 1
+    blocks = [tuple(cells[j : j + b - 1]) for j in range(0, len(cells), b - 1)]
+    final_root = draw(st.sampled_from(roots))
     return ForestCode(shape, tuple(roots), final_root, tuple(blocks), tuple(links))
 
 

@@ -737,6 +737,18 @@ class TestIds:
             lines.append(json.dumps(json.loads(doc), separators=(",", ":")) + "\n")
         assert out == "".join(lines)
 
+    def test_lines_past_two_carries_at_b5(self, capsys):
+        # two links on 1..13, so the 400 ids pass two carries; each block
+        # digit's last three members are closed forms
+        shape = ["--b", "5", "--s", "3", "--k", "0"]
+        status, out, _ = run_cli(capsys, ["ids", *shape, "--m", "400"])
+        assert status == 0
+        lines = []
+        for i in range(400):
+            _, doc, _ = run_cli(capsys, ["unrank", *shape, "--index", str(i)])
+            lines.append(json.dumps(json.loads(doc), separators=(",", ":")) + "\n")
+        assert out == "".join(lines)
+
     def test_too_many_identifiers(self, capsys):
         # 9 codes in the space: the stream refuses before its first code
         status, out, err = run_cli(
@@ -805,6 +817,19 @@ class TestParametersTooLargeToCompute:
         ids=["unrank-k", "ids-k", "unrank-s", "ids-s"],
     )
     def test_codes_past_a_list_are_refused_within_seconds(self, argv):
+        _assert_refused_within_seconds(argv)
+
+    # n is below sys.maxsize, but its label slots pass any physical memory:
+    # the refusal comes before the radices are built
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["unrank", "--index", "0", "--b", "2", "--s", TOO_MANY, "--k", "0"],
+            ["ids", "--b", "2", "--s", TOO_MANY, "--k", "0", "--m", "1"],
+        ],
+        ids=["unrank", "ids"],
+    )
+    def test_codes_past_memory_are_refused_within_seconds(self, argv):
         _assert_refused_within_seconds(argv)
 
 

@@ -208,6 +208,24 @@ def test_sample_stream_builds_no_code():
     assert not used & {"ForestCode", "sample_code", "decode_code"}
 
 
+def test_id_odometer_builds_no_code():
+    """The odometer yields the unranked code and each step's links: it
+    builds no ForestCode, so a stepped id costs no canonical sort."""
+    path = Path(hyperforest.__file__).parent / "ranking.py"
+    (function,) = (
+        node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and node.name == "_odometer"
+    )
+    # the body only: the return annotation names the type it yields
+    used = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for statement in function.body
+        for node in ast.walk(statement)
+    }
+    assert "_unrank" in used
+    assert not used & {"ForestCode", "unrank_code", "generate_ids"}
+
+
 def test_validate_forest_counts_and_does_not_group():
     """validate_forest reads excess and roots from the union-find's counts;
     the vertex lists of _components serve the oracle and

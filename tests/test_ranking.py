@@ -28,7 +28,13 @@ from hyperforest import (
     validate_code,
     validate_forest,
 )
-from hyperforest.ranking import _combination_rank, _combination_unrank, _draw, _shuffle
+from hyperforest.ranking import (
+    _combination_rank,
+    _combination_unrank,
+    _draw,
+    _icbrt,
+    _shuffle,
+)
 from conftest import SWEEP_SHAPES
 
 # (b, s, k, past_end, length, sha256 prefix) of the out-of-range refusal
@@ -189,6 +195,24 @@ class TestCombinationDigit:
             assert all(0 <= c < pool_size for c in positions)
             assert positions == sorted(set(positions))
             assert _combination_rank(positions, pool_size) == index
+
+
+class TestIntegerCubeRoot:
+    """_icbrt, which seeds the closed-form third combination member, is the
+    exact floor of a cube root."""
+
+    def test_floor_on_every_small_integer(self):
+        for x in range(10**4 + 1):
+            y = _icbrt(x)
+            assert y**3 <= x < (y + 1) ** 3, x
+
+    # around each cube, where a root rounded the wrong way would show
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 2**200))
+    def test_floor_next_to_cubes(self, y):
+        assert _icbrt(y**3 - 1) == y - 1
+        assert _icbrt(y**3) == y
+        assert _icbrt(y**3 + 1) == y
 
 
 class TestSampling:
@@ -394,6 +418,18 @@ class TestGoldenIndexes:
                 4, 50, 2, 17,
                 408306691536016510445002098746977087416925662800199605817422997010508399793551359249929867004763548684895821668311310167624474768521920328705923346150103218208548049050922808751383935743055083122890900559317543567141904115193125168325065009370414987426600414779639758415540,
                 ["f71397f4e37c903b", "82c7ab803648dda8", "c34f1333e6359c18"],
+            ),
+            # b = 5 and b = 6: each block digit's third-last member, once
+            # searched for; recorded before its closed form replaced the search
+            (
+                5, 70, 1, 31,
+                15120009388149261073726499377112152226050075760993409256129550905751933275876808881046657092349062680895047907256759608505713474010962529673643673803127681849623362468643579051045144817579255916028931718301732166115355138992229920580737362951767440547306425313839704064486264369917008604350802249187651357972932983808401979518803833760139995888004583011195765489772907923639999945899507772872521119829671964026066527488585041815774437091524474692756867155874391756085361950122225390683294054481137655528571582994090992323766166896579542932110,
+                ["d7ac9cbb9d6fa6cf", "4dd0935d65f9ff32", "94836318bf49ab9e"],
+            ),
+            (
+                6, 45, 4, 47,
+                20353190272487662381524076418497140207424861262892238981738331015950984860667400712894527062017228923809379453524134101170037534388981373424791790542312913347657745147316338887476305091490823280628535331691503809238306340217108227906734499011732483760429686101355425612019259978360948035852291170662185955191497851316550760017046705218558736533913153904019313343062650520975385214985094462087577474,
+                ["c885262fd6244188", "6068675c692e2930", "800fb375301af37d"],
             ),
         ],
     )

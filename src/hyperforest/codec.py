@@ -30,11 +30,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from decimal import Decimal
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, NoReturn
 
-from .errors import InvalidStructureError, InvariantViolation, ParameterRangeError
+from .errors import InvalidStructureError, InvariantViolation, ParameterRangeError, _words
 from .forest import (
     Hyperedge,
     RootedForest,
@@ -54,11 +53,11 @@ def check_shape(b: int, s: int, k: int = 0, min_s: int = 0) -> None:
     k checks them here, passing the smallest edge count it accepts.
     """
     if b < 2:
-        raise ParameterRangeError(f"edge size b={b} must be at least 2")
+        raise ParameterRangeError(f"edge size b={_words(b)} must be at least 2")
     if s < min_s:
-        raise ParameterRangeError(f"edge count s={s} must be at least {min_s}")
+        raise ParameterRangeError(f"edge count s={_words(s)} must be at least {min_s}")
     if k < 0:
-        raise ParameterRangeError(f"tree parameter k={k} must be at least 0")
+        raise ParameterRangeError(f"tree parameter k={_words(k)} must be at least 0")
 
 
 def product_levels(factors: list[int]) -> list[list[int]]:
@@ -128,22 +127,21 @@ def validate_code(code: ForestCode) -> ValidationReport:
 
     Rules: exactly k+1 distinct roots in 1..n; final_root present and a root
     exactly when s >= 1; blocks form a partition of the non-root labels into
-    s blocks of b-1; links has max(s-1, 0) entries, each in 1..n.
-    """
+    s blocks of b-1; links has max(s-1, 0) entries, each in 1..n.  Never
+    raises, at any integer size: the report words every number in full."""
     shape = code.shape
     b, s, k, n = shape.b, shape.s, shape.k, shape.n
     violations: list[str] = []
-    # Decimal words n and k+1, which may pass str()'s 4300-digit limit
-    span = f"1..{Decimal(n)}"
+    span = f"1..{_words(n)}"
 
     roots = code.roots
     if len(roots) != k + 1:
-        violations.append(f"expected {Decimal(k + 1)} roots, found {len(roots)}")
+        violations.append(f"expected {_words(k + 1)} roots, found {len(roots)}")
     if len(set(roots)) != len(roots):
         violations.append("repeated root label")
     for r in roots:
         if r < 1 or r > n:
-            violations.append(f"root {r} outside {span}")
+            violations.append(f"root {_words(r)} outside {span}")
 
     if s == 0:
         if code.final_root is not None:
@@ -151,18 +149,19 @@ def validate_code(code: ForestCode) -> ValidationReport:
     elif code.final_root is None:
         violations.append("final root is required when s>=1")
     elif code.final_root not in roots:
-        violations.append(f"final root {code.final_root} is not a root")
+        violations.append(f"final root {_words(code.final_root)} is not a root")
 
     if len(code.blocks) != s:
-        violations.append(f"expected {s} blocks, found {len(code.blocks)}")
+        violations.append(f"expected {_words(s)} blocks, found {len(code.blocks)}")
     seen: set[int] = set()
     overlap = False
     for blk in code.blocks:
         if len(blk) != b - 1:
-            violations.append(f"block {list(blk)}: has {len(blk)} labels, expected {b - 1}")
+            violations.append(f"block {_words(blk)}: has {len(blk)} labels, "
+                              f"expected {_words(b - 1)}")
         for v in blk:
             if v < 1 or v > n:
-                violations.append(f"block label {v} outside {span}")
+                violations.append(f"block label {_words(v)} outside {span}")
             elif v in seen:
                 overlap = True
             else:
@@ -180,11 +179,11 @@ def validate_code(code: ForestCode) -> ValidationReport:
     expected_links = max(s - 1, 0)
     if len(code.links) != expected_links:
         violations.append(
-            f"expected {expected_links} links, found {len(code.links)}"
+            f"expected {_words(expected_links)} links, found {len(code.links)}"
         )
     for v in code.links:
         if v < 1 or v > n:
-            violations.append(f"link {v} outside {span}")
+            violations.append(f"link {_words(v)} outside {span}")
 
     return ValidationReport(not violations, tuple(violations), s, k)
 

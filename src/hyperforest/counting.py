@@ -40,7 +40,7 @@ from math import factorial, isqrt
 from typing import Literal, NamedTuple
 
 from .codec import ForestShape, check_shape, product_levels
-from .errors import InvariantViolation, ParameterRangeError
+from .errors import InvariantViolation, ParameterRangeError, _words
 
 HypercycleForm = Literal["closed", "sum"]
 
@@ -206,7 +206,7 @@ def hypercycle_class_count(b: int, s: int, j: int) -> int:
     """
     check_shape(b, s, min_s=2)
     if j < 2 or j > s:
-        raise ParameterRangeError(f"cycle length j={j} must lie in 2..{s}")
+        raise ParameterRangeError(f"cycle length j={_words(j)} must lie in 2..{_words(s)}")
     n = s * (b - 1)
     _ensure_holdable(-1, [(n, 1), (s - j, -1), (b - 1, j - s), (b - 2, -j)])
     return _as_count(

@@ -1,8 +1,15 @@
-"""Exception types shared by the hyperforest modules."""
+"""Exception types shared by the hyperforest modules, and how messages word numbers."""
 
 from __future__ import annotations
 
 from decimal import Decimal
+
+
+def _words(value: object) -> str:
+    """A message's text for a value; unlike str(), it words an int of any size."""
+    if isinstance(value, (tuple, list)):  # as list() prints, whichever the sequence
+        return "[" + ", ".join(map(_words, value)) + "]"
+    return str(Decimal(value)) if isinstance(value, int) else str(value)
 
 
 class HyperforestError(Exception):
@@ -23,11 +30,13 @@ class BudgetExceededError(HyperforestError, RuntimeError):
     def __init__(self, candidates: int, budget: int):
         self.candidates = candidates
         self.budget = budget
-        # Decimal words an int of any size, str() only up to 4300 digits
         super().__init__(
-            f"enumeration refused: {Decimal(candidates)} candidate sets exceed "
-            f"the budget of {Decimal(budget)}"
+            f"enumeration refused: {_words(candidates)} candidate sets exceed "
+            f"the budget of {_words(budget)}"
         )
+
+    def __reduce__(self):
+        return type(self), (self.candidates, self.budget)
 
 
 class InvariantViolation(HyperforestError, RuntimeError):

@@ -20,7 +20,7 @@ from itertools import compress, islice
 from operator import eq
 from typing import Iterable, Iterator
 
-from .errors import InvalidStructureError
+from .errors import InvalidStructureError, _words
 
 VertexId = int
 Hyperedge = tuple[VertexId, ...]
@@ -46,7 +46,7 @@ class RootedForest:
     def __post_init__(self) -> None:
         edges = tuple(sorted(tuple(sorted(e)) for e in self.edges))
         for e in compress(edges[1:], map(eq, edges, edges[1:])):
-            raise InvalidStructureError(f"duplicate hyperedge {list(e)}: edges form a set")
+            raise InvalidStructureError(f"duplicate hyperedge {_words(e)}: edges form a set")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "roots", tuple(sorted(self.roots)))
 
@@ -118,11 +118,11 @@ def _edge_violations(n: int, b: int, edges: Iterable[Hyperedge]) -> list[str]:
     problems = []
     for e in edges:
         if len(e) != b:
-            problems.append(f"edge {list(e)}: has {len(e)} vertices, expected b={b}")
+            problems.append(f"edge {_words(e)}: has {len(e)} vertices, expected b={_words(b)}")
         if len(set(e)) != len(e):
-            problems.append(f"edge {list(e)}: repeated vertex label")
+            problems.append(f"edge {_words(e)}: repeated vertex label")
         if e and (e[0] < 1 or e[-1] > n):
-            problems.append(f"edge {list(e)}: vertex label outside 1..{n}")
+            problems.append(f"edge {_words(e)}: vertex label outside 1..{_words(n)}")
     return problems
 
 
@@ -179,7 +179,7 @@ def component_decomposition(forest: RootedForest) -> ComponentReport:
     """
     n, b, edges = forest.n, forest.b, forest.edges
     if n < 1:
-        raise InvalidStructureError(f"vertex count n={n} must be at least 1")
+        raise InvalidStructureError(f"vertex count n={_words(n)} must be at least 1")
     problems = _edge_violations(n, b, edges)
     if problems:
         raise InvalidStructureError("malformed hyperedge: " + "; ".join(problems))
@@ -202,7 +202,8 @@ def validate_forest(forest: RootedForest) -> ValidationReport:
     Rules: n >= 1 and b >= 2; every edge has b distinct labels in 1..n;
     roots are distinct labels in 1..n; n = s*(b-1) + k + 1; every component
     has excess -1 and contains exactly one root; no two hyperedges share
-    more than one vertex.  Never raises.  Malformed edges or roots, or else
+    more than one vertex.  Never raises, at any integer size: the report
+    words every number in full.  Malformed edges or roots, or else
     an n that differs from s*(b-1) + k + 1, end the report there, so its
     size and cost follow the forest's edges and roots, not its declared n.
 
@@ -218,21 +219,21 @@ def validate_forest(forest: RootedForest) -> ValidationReport:
     violations: list[str] = []
 
     if n < 1:
-        violations.append(f"vertex count n={n} must be at least 1")
+        violations.append(f"vertex count n={_words(n)} must be at least 1")
     if b < 2:
-        violations.append(f"uniformity b={b} must be at least 2")
+        violations.append(f"uniformity b={_words(b)} must be at least 2")
     violations.extend(_edge_violations(max(n, 0), b, edges))
     for i in range(1, len(roots)):
         if roots[i] == roots[i - 1]:
-            violations.append(f"repeated root {roots[i]}")
+            violations.append(f"repeated root {_words(roots[i])}")
     for r in roots:
         if r < 1 or r > n:
-            violations.append(f"root {r} outside 1..{n}")
+            violations.append(f"root {_words(r)} outside 1..{_words(n)}")
     if not roots:
         violations.append("at least one root is required")
     if not violations and n != s * (b - 1) + k + 1:
         violations.append(
-            f"vertex count n={n} differs from s(b-1)+k+1={s * (b - 1) + k + 1}"
+            f"vertex count n={_words(n)} differs from s(b-1)+k+1={_words(s * (b - 1) + k + 1)}"
         )
     if violations:
         # component analysis is meaningless on malformed input, and on a

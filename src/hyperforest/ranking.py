@@ -44,11 +44,10 @@ import struct
 import sys
 from bisect import bisect_left
 from collections.abc import Iterator
-from decimal import Decimal
 from math import comb, isqrt
 
 from .codec import ForestCode, ForestShape, _replay, ensure_valid_code, product_levels
-from .errors import ParameterRangeError
+from .errors import ParameterRangeError, _words
 from .forest import RootedForest
 
 _SEED_LIMIT = 1 << 64
@@ -189,7 +188,7 @@ def _unrank(index: int, shape: ForestShape, levels: list[list[int]]) -> ForestCo
     """unrank_code over the shape's radix product tree, built by the caller."""
     if not 0 <= index < levels[-1][0]:
         raise ParameterRangeError(
-            f"index {Decimal(index)} outside 0..{Decimal(levels[-1][0] - 1)} for shape "
+            f"index {_words(index)} outside 0..{_words(levels[-1][0] - 1)} for shape "
             f"(b={shape.b}, s={shape.s}, k={shape.k})"
         )
     digits = [index]
@@ -250,7 +249,7 @@ def rank_code(code: ForestCode) -> int:
 
 def _rng(seed: int) -> random.Random:
     if seed < 0 or seed >= _SEED_LIMIT:
-        raise ParameterRangeError(f"seed {seed} outside 0..2^64-1")
+        raise ParameterRangeError(f"seed {_words(seed)} outside 0..2^64-1")
     return random.Random(seed)
 
 
@@ -346,7 +345,7 @@ def _sample_stream(shape: ForestShape, seed: int, m: int) -> Iterator[RootedFore
     the replay refuses none."""
     rng = _rng(seed)
     if m < 0:
-        raise ParameterRangeError(f"draw count m={m} must be at least 0")
+        raise ParameterRangeError(f"draw count m={_words(m)} must be at least 0")
     n, b, s = shape.n, shape.b, shape.s
 
     def forests() -> Iterator[RootedForest]:
@@ -387,13 +386,13 @@ def _id_stream(
     after it.
     """
     if m < 0:
-        raise ParameterRangeError(f"id count m={m} must be at least 0")
+        raise ParameterRangeError(f"id count m={_words(m)} must be at least 0")
     _ensure_listable(shape)
     levels = _levels(shape)
     total = levels[-1][0]
     if m > total:
         raise ParameterRangeError(
-            f"requested {m} ids but the shape has only {total} codes"
+            f"requested {_words(m)} ids but the shape has only {_words(total)} codes"
         )
     return _odometer(shape, levels, m)
 

@@ -2,10 +2,14 @@
 its values carry no state beyond what their constructors set."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 import hyperforest
+import hyperforest.cli
 
 SOURCES = sorted(Path(hyperforest.__file__).parent.glob("*.py"))
 
@@ -271,6 +275,43 @@ def test_cli_words_counts_in_one_function():
 
     visit(ast.parse(path.read_text(encoding="utf-8")), "<module>")
     assert calls == [("_decimal_text", "value"), ("main", "exc")]
+
+
+def test_messages_word_numbers_in_one_function():
+    """str() of an int raises past 4300 digits, so every message words its
+    numbers through errors._words: only errors.py imports decimal, and only
+    _words calls Decimal()."""
+    importers = {
+        path.name
+        for path in SOURCES
+        if "decimal" in _imported_names(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert importers == {"errors.py"}
+    calls = []
+
+    def visit(node: ast.AST, where: tuple[str, str]) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = (where[0], node.name)
+        if isinstance(node, ast.Call):
+            func = node.func
+            if "Decimal" in {getattr(func, "id", None), getattr(func, "attr", None)}:
+                calls.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.name, "<module>"))
+    assert calls == [("errors.py", "_words")]
+
+
+def test_console_script_is_the_cli_main():
+    """The installed hyperforest command runs cli.main."""
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"hyperforest": "hyperforest.cli:main"}
+    module, _, name = scripts["hyperforest"].partition(":")
+    assert getattr(importlib.import_module(module), name) is hyperforest.cli.main
 
 
 def test_hypertrees_are_counted_as_one_tree_forests():

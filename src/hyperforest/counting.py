@@ -5,11 +5,12 @@ used anywhere in this module.  The forest and hypertree counts are products
 of factorials and powers of n, so they are computed from the exponent of
 each prime p <= n, squaring over the exponents' bits and multiplying in a
 balanced product tree of the primes at each bit; a negative exponent fails
-their integrality assertion.  Each hypercycle count is one exact integer
-division of a numerator by a denominator, and a remainder fails the same
-assertion; a count that no int could hold is refused before any factorial
-is taken.  fractions.Fraction appears only in the cycle sum, the sum
-form's factor, and in :func:`cycle_sum_identity`.
+their integrality assertion.  Both hypercycle forms are one prefactor from
+the same prime exponents, times an integer numerator, divided once by 2s;
+the count per cycle length is one exact division of n! * j*(b-1) by its
+factorials.  A remainder fails the same assertion, and a count that no int
+could hold is refused before any work starts.  fractions.Fraction appears
+only in a failed division's message and in :func:`cycle_sum_identity`.
 
 With n = s*(b-1) + k + 1, forests of k+1 rooted hypertrees with s edges
 number (n!/k!) * n^(s-1) / (s! * (b-1)!^s).  A rooted hypertree is a forest
@@ -165,7 +166,8 @@ def count_hypercycles(b: int, s: int, form: HypercycleForm = "closed") -> int:
     the factor that multiplies it: 1/(s*(s-2)!) in the closed form,
     sum(j / (s^j * (s-j)!) for j in 2..s) in the sum form.  The two factors
     are computed independently so their agreement stays a meaningful check.
-    Either way the count is one exact division.
+    As n^(s-1) = s^(s-1) * (b-1)^(s-1), a factor's numerator over s^s * s!,
+    times the prefactor n! / ((b-2)!^s * s!), is 2s times the count.
     """
     check_shape(b, s, min_s=2)
     n = s * (b - 1)
@@ -175,23 +177,23 @@ def count_hypercycles(b: int, s: int, form: HypercycleForm = "closed") -> int:
         (s - 1) * (n.bit_length() - 1) - 1 - s.bit_length(), [(n, 1), (b - 1, -s), (s - 2, -1)]
     )
     if form == "closed":
-        factor = Fraction(1, s * factorial(s - 2))
+        numerator = (s - 1) * s**s
     elif form == "sum":
-        factor = _cycle_sum(s)
+        numerator = _cycle_numerator(s)
     else:
         raise ParameterRangeError(f"unknown hypercycle form {form!r}")
-    return _as_count(
-        (b - 1) * factorial(n) * n ** (s - 1) * factor.numerator,
-        2 * factorial(b - 1) ** s * factor.denominator,
-        f"hypercycle count for b={b}, s={s}, form={form}",
-    )
+    what = f"hypercycle count for b={b}, s={s}, form={form}"
+    prefactor = _factorial_quotient(n, 0, [(n, 1), (b - 2, -s), (s, -1)], what)
+    return _as_count(prefactor * numerator, 2 * s, what)
 
 
-def _cycle_sum(s: int) -> Fraction:
-    """sum(j / (s^j * (s-j)!) for j in 2..s), exactly: the sum form's factor."""
-    total = Fraction(0)
+def _cycle_numerator(s: int) -> int:
+    """sum(j * s!/(s-j)! * s^(s-j) for j in 2..s), by Horner's rule in s:
+    the sum form's factor sum(j / (s^j * (s-j)!)) times s^s * s!."""
+    total, falling = 0, s
     for j in range(2, s + 1):
-        total += Fraction(j, s ** j * factorial(s - j))
+        falling *= s - j + 1  # s!/(s-j)!
+        total = total * s + j * falling
     return total
 
 
@@ -233,6 +235,6 @@ def cycle_sum_identity(s: int) -> CycleSumIdentity:
     than trust.
     """
     check_shape(b=2, s=s, min_s=2)  # the identity has no edge size
-    lhs = _cycle_sum(s)
+    lhs = Fraction(_cycle_numerator(s), s**s * factorial(s))
     rhs = Fraction(1, s * factorial(s - 2))
     return CycleSumIdentity(lhs, rhs, lhs == rhs)

@@ -137,17 +137,17 @@ def _icbrt(x: int) -> int:
         y = z
 
 
-def _ensure_listable(shape: ForestShape) -> None:
-    """Refuse a shape whose code could not be built: a code lists all n
-    labels, and no list holds more than sys.maxsize entries, nor more
-    pointer slots than physical memory holds, where os.sysconf reports it.
-    Past that bound the radices alone would grow memory without end."""
+def _ensure_listable(entries: int) -> None:
+    """Refuse work that lists more entries than a list could hold: no list
+    holds more than sys.maxsize entries, nor more pointer slots than
+    physical memory holds, where os.sysconf reports it.  A code lists its n
+    labels, and a shape has 2s+1 radices; past that bound either list alone
+    would grow memory without end."""
     try:
         memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
         memory = 0
-    n = shape.n
-    if n > sys.maxsize or 0 < memory < n * struct.calcsize("P"):
+    if entries > sys.maxsize or 0 < memory < entries * struct.calcsize("P"):
         raise ParameterRangeError("parameters too large to compute")
 
 
@@ -169,6 +169,7 @@ def code_space_size(shape: ForestShape) -> int:
     tests can compare the two routes.  It is the root of the radices'
     product tree, the tree that rank and unrank combine and split along.
     """
+    _ensure_listable(2 * shape.s + 1)
     return _levels(shape)[-1][0]
 
 
@@ -180,7 +181,7 @@ def unrank_code(index: int, shape: ForestShape) -> ForestCode:
     left child's value as quotient and the right child's as remainder, so
     every division meets a divisor about half its dividend's size.
     """
-    _ensure_listable(shape)
+    _ensure_listable(shape.n)
     return _unrank(index, shape, _levels(shape))
 
 
@@ -387,7 +388,7 @@ def _id_stream(
     """
     if m < 0:
         raise ParameterRangeError(f"id count m={_words(m)} must be at least 0")
-    _ensure_listable(shape)
+    _ensure_listable(shape.n)
     levels = _levels(shape)
     total = levels[-1][0]
     if m > total:

@@ -6,6 +6,7 @@ count of rooted labelled trees at b=2, and internal identities that two
 separately implemented formulas must satisfy on a grid.
 """
 
+import time
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -210,6 +211,12 @@ class TestCountHypercycles:
                 assert count_hypercycles(b, s, "closed") == count_hypercycles(
                     b, s, "sum"
                 )
+
+    def test_forms_agree_at_scale_within_seconds(self):
+        # the sum form's numerator is one integer pass, not s Fractions
+        start = time.perf_counter()
+        assert count_hypercycles(3, 4000, "sum") == count_hypercycles(3, 4000)
+        assert time.perf_counter() - start < 5
 
     def test_rejects_unknown_form(self):
         with pytest.raises(ParameterRangeError):

@@ -314,19 +314,38 @@ def test_console_script_is_the_cli_main():
     assert getattr(importlib.import_module(module), name) is hyperforest.cli.main
 
 
+def _counting_calls() -> dict[str, set]:
+    """The names each function of counting.py calls, by function name."""
+    path = Path(hyperforest.__file__).parent / "counting.py"
+    return {
+        function.name: {
+            getattr(node.func, "id", None)
+            for node in ast.walk(function)
+            if isinstance(node, ast.Call)
+        }
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef)
+    }
+
+
 def test_hypertrees_are_counted_as_one_tree_forests():
     """count_rooted_hypertrees is count_forests at k = 0, with no exponent
     list of its own for _factorial_quotient."""
-    path = Path(hyperforest.__file__).parent / "counting.py"
-    (function,) = (
-        node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.FunctionDef) and node.name == "count_rooted_hypertrees"
-    )
-    called = {
-        getattr(node.func, "id", None) for node in ast.walk(function) if isinstance(node, ast.Call)
-    }
+    called = _counting_calls()["count_rooted_hypertrees"]
     assert "count_forests" in called
     assert "_factorial_quotient" not in called
+
+
+def test_hypercycles_are_counted_from_prime_exponents():
+    """count_hypercycles takes its prefactor from _factorial_quotient, the
+    sum form has no Fraction loop of its own, and factorial is called only
+    by the class count and the identity's exact rationals."""
+    calls = _counting_calls()
+    assert "_cycle_sum" not in calls
+    assert "_factorial_quotient" in calls["count_hypercycles"]
+    assert {name for name, called in calls.items() if "factorial" in called} == {
+        "hypercycle_class_count", "cycle_sum_identity",
+    }
 
 
 _FLOAT_MATH = {"sqrt", "log", "lgamma", "pow"}

@@ -1,15 +1,20 @@
 """Tests for ranking, unranking, uniform sampling, and id generation."""
 
 import hashlib
+import os
 import random
+import resource
+import subprocess
 import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hyperforest
 from hyperforest import (
     ForestCode,
     ForestShape,
@@ -64,6 +69,32 @@ class TestCodeSpaceSize:
 
     def test_empty_shape_has_one_code(self):
         assert code_space_size(ForestShape(b=3, s=0, k=2)) == 1
+
+    # the 2s+1 radices pass sys.maxsize entries, or physical memory's pointer
+    # slots: the refusal comes before they are listed.  A fresh process with
+    # a capped address space, so that listing them fails there, on a
+    # MemoryError, and not by filling the test runner's memory
+    @pytest.mark.parametrize("s", [sys.maxsize, 2**40], ids=["maxsize", "2^40"])
+    def test_refuses_radices_no_list_could_hold(self, s):
+        script = (
+            "from hyperforest import ForestShape, ParameterRangeError, code_space_size\n"
+            "try:\n"
+            f"    code_space_size(ForestShape(b=2, s={s}, k=0))\n"
+            "except ParameterRangeError as error:\n"
+            "    print(error)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(hyperforest.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=10, preexec_fn=_cap_address_space,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "parameters too large to compute\n", ""
+        )
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 
 
 class TestUnrank:

@@ -3,9 +3,10 @@
 Every function works in exact integer arithmetic; no floating point is
 used anywhere in this module.  The forest and hypertree counts are products
 of factorials and powers of n, so they are computed from the exponent of
-each prime p <= n, squaring over the exponents' bits and multiplying in a
-balanced product tree of the primes at each bit; a negative exponent fails
-their integrality assertion.  Both hypercycle forms are one prefactor from
+each prime p <= n, all primes' at once as maps over the list of primes,
+squaring over the exponents' bits and multiplying in a balanced product tree
+of the primes at each bit; a negative exponent fails their integrality
+assertion.  Both hypercycle forms are one prefactor from
 the same prime exponents, times an integer numerator, divided once by 2s;
 the count per cycle length is one exact division of n! * j*(b-1) by its
 factorials.  A remainder fails the same assertion, and a count that no int
@@ -35,9 +36,11 @@ them.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from math import factorial, isqrt
+from operator import add, and_, floordiv, lt, mod, mul, not_, rshift
 from typing import Literal, NamedTuple
 
 from .codec import ForestShape, check_shape, product_levels
@@ -84,47 +87,49 @@ def _primes_upto(n: int) -> list[int]:
     return list(compress(range(n + 1), sieve))
 
 
-def _legendre(m: int, p: int) -> int:
-    """Exponent of the prime p in m! (Legendre's formula)."""
-    e = 0
-    while m:
-        m //= p
-        e += m
-    return e
-
-
 def _factorial_quotient(
     n: int, power: int, factorials: list[tuple[int, int]], what: str
 ) -> int:
     """n**power * prod(m! ** weight for m, weight in factorials), exactly.
 
     For n >= 2 and every m <= n, so only primes p <= n occur.  Each prime's
-    exponent sums Legendre's formula over the factorials and power times its
-    exponent in n.  The product of the p^e is then built by squaring over
-    the exponents' bits, top bit first: square the result, then multiply in
-    the product tree of the primes whose exponent has that bit set (Borwein,
-    J. Algorithms 6, 1985), with no fraction or gcd.  Most exponents are
-    small, so most primes meet only the last few bits.  A negative exponent
-    means the quotient is not an integer, which the counts' proofs rule
-    out, so it raises InvariantViolation.
+    exponent sums Legendre's formula over the factorials, m // p for every
+    prime p <= m at once and then m // p^t for t >= 2, looped only over the
+    p <= isqrt(m), and power times its exponent in n.  The product of the
+    p^e is built by squaring over the exponents' bits, top bit first: square
+    the result, then multiply in the product tree of the primes whose
+    exponent has that bit set (Borwein, J. Algorithms 6, 1985), with no
+    fraction or gcd.  Most exponents are small, so each bit's primes are
+    picked from those whose exponents reach it.  A negative exponent means
+    the quotient is not an integer, which the counts' proofs rule out, so
+    the smallest such prime's raises InvariantViolation.
     """
     primes = _primes_upto(n)
-    exponents = []
-    for p in primes:
-        e = sum(weight * _legendre(m, p) for m, weight in factorials)
+    exponents = [0] * len(primes)
+    for m, weight in factorials:
+        counts = list(map(floordiv, repeat(m), primes[: bisect_right(primes, m)]))
+        for i, p in enumerate(primes[: bisect_right(primes, isqrt(m))]):
+            q = counts[i]
+            while q >= p:
+                q //= p
+                counts[i] += q
+        exponents[: len(counts)] = map(add, exponents, map(mul, counts, repeat(weight)))
+    for i in compress(range(len(primes)), map(not_, map(mod, repeat(n), primes))):
         q = n
-        while q % p == 0:
-            q //= p
-            e += power
-        if e < 0:
-            raise InvariantViolation(
-                f"{what} is not an integer: prime {p} has exponent {e}"
-            )
-        exponents.append(e)
+        while q % primes[i] == 0:
+            q //= primes[i]
+            exponents[i] += power
+    for p, e in compress(zip(primes, exponents), map(lt, exponents, repeat(0))):
+        raise InvariantViolation(f"{what} is not an integer: prime {p} has exponent {e}")
+    layers = []
+    while exponents:
+        layers.append(list(compress(primes, map(and_, exponents, repeat(1)))))
+        exponents = list(map(rshift, exponents, repeat(1)))
+        primes = list(compress(primes, exponents))
+        exponents = list(filter(None, exponents))
     result = 1
-    for bit in reversed(range(max(exponents).bit_length())):
+    for chosen in reversed(layers):
         result *= result
-        chosen = list(compress(primes, [e >> bit & 1 for e in exponents]))
         if chosen:
             result *= product_levels(chosen)[-1][0]
     return result

@@ -14,10 +14,12 @@ one mixed-radix numeral.  Its digits, most significant first, are
 That makes 2s+1 digits, or the roots' digit alone when s = 0.  Combination
 digits are closed-form in the combinatorial number system (Knuth, TAOCP 4A
 7.2.1.3): positions c_0 < ... < c_{r-1} of a pool of L labels have
-lexicographic rank comb(L, r) - 1 - sum_i comb(L-1-c_i, r-i).  Unranking
-takes the members greedily; all but the last three are searched for, and
-those three are exact integer closed forms, so a block digit at b <= 5 is
-closed-form throughout.
+lexicographic rank comb(L, r) - 1 - sum_i comb(L-1-c_i, r-i).  The s block
+digits are worked as columns, one per member, the roots' as one-entry ones;
+unranking searches entry by entry for the members before the last three and
+maps the last three's exact closed forms over their columns.  Both
+directions walk the non-root labels once with a head index: block j's
+smallest label stays at position j, and only its other members are deleted.
 
 Sampling contract: draws are generated by CPython's Mersenne Twister
 (random.Random) seeded directly with the 64-bit seed.  Uniform integers
@@ -43,8 +45,10 @@ import random
 import struct
 import sys
 from bisect import bisect_left
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
+from itertools import repeat
 from math import comb, isqrt
+from operator import add, floordiv, le, mul, sub
 
 from .codec import ForestCode, ForestShape, _replay, ensure_valid_code, product_levels
 from .errors import ParameterRangeError, _words
@@ -53,69 +57,73 @@ from .forest import RootedForest
 _SEED_LIMIT = 1 << 64
 
 
-def _combination_rank(positions: list[int], pool_size: int) -> int:
-    """Lexicographic rank of ascending positions among same-size subsets."""
-    size = len(positions)
-    return comb(pool_size, size) - 1 - sum(
-        comb(pool_size - 1 - c, size - i) for i, c in enumerate(positions)
-    )
+def _rank_columns(columns: list[list[int]], pools: Sequence[int], size: int) -> list[int]:
+    """Lexicographic rank of each entry j's size-combination of pools[j] labels,
+    whose i-th ascending position is columns[i][j]."""
+    tops = list(map(sub, pools, repeat(1)))
+    ranks = list(map(sub, map(comb, pools, repeat(size)), repeat(1)))
+    for r, column in zip(range(size, 0, -1), columns):
+        ranks = list(map(sub, ranks, map(comb, map(sub, tops, column), repeat(r))))
+    return ranks
 
 
-def _combination_unrank(index: int, pool_size: int, size: int) -> list[int]:
-    """Ascending positions of the index-th size-subset of a pool, lexicographic.
+def _unrank_columns(indices: list[int], pools: Sequence[int], size: int) -> list[list[int]]:
+    """The columns _rank_columns maps to the indices, greedily.  With
+    m = pool-1-c, each member is the first position c past the previous one
+    with comb(m, r) <= rest, the largest such m; taking it leaves
+    rest < comb(m, r-1), so the next member lies further on.
 
-    Inverts _combination_rank greedily.  With m = pool_size-1-c, each member
-    is the first position c past the previous one with comb(m, r) <= rest,
-    that is the largest such m; taking it leaves rest < comb(m, r-1), so the
-    next member lies further on.
+    For r >= 4 a search finds the member, entry by entry: the position right
+    after the previous member is tried first, its value derived from the
+    member's as comb(m-1, r-1) = comb(m, r)*r/m (m >= r-1 >= 3, so never over
+    zero); past it a galloping search and then bisection find the member.
 
-    For r >= 4 a search finds the member: the position right after the
-    previous member is tried first, its value derived from the member's as
-    comb(m-1, r-1) = comb(m, r)*r/m (m >= r-1 >= 3, so never over zero);
-    past it a galloping search and then bisection find the member.
-
-    The last three members are exact integer closed forms.  At r = 3, with
-    t = m-1, 6*comb(m, 3) = t^3 - t, so the floor c of the cube root of
-    6*rest has t^3 - t <= 6*rest < (c+1)^3, which leaves t = c or c+1:
-    m = c+1, or c+2 when comb(c+2, 3) <= rest.  At r = 2, comb(m, 2) <= rest
-    is (2m-1)^2 <= 8*rest + 1, and isqrt is the exact floor of a square
-    root at any size, so m = (1 + isqrt(1 + 8*rest)) // 2.  At r = 1,
-    comb(m, 1) = m, so m = rest.
+    The last three members are exact integer closed forms, each mapped over
+    its whole column.  At r = 3, with t = m-1, 6*comb(m, 3) = t^3 - t, so the
+    floor c of the cube root of 6*rest has t^3 - t <= 6*rest < (c+1)^3, which
+    leaves t = c or c+1: m = c+1, or c+2 when comb(c+2, 3) <= rest.  At r = 2,
+    comb(m, 2) <= rest is (2m-1)^2 <= 8*rest + 1, and isqrt is the exact floor
+    of a square root at any size, so m = (1 + isqrt(1 + 8*rest)) // 2.  At
+    r = 1, comb(m, 1) = m, so m = rest.
     """
-    rest = comb(pool_size, size) - 1 - index
-    positions = []
-    c, value = -1, rest + 1  # no member yet: search from position 0
-    for r in range(size, 3, -1):
-        if value > rest:
-            low = high = c + 1
-            step = 1
-            while (value := comb(pool_size - 1 - high, r)) > rest:
-                low, high, step = high + 1, min(high + step, pool_size - r), step * 2
-            while low < high:
-                middle = (low + high) // 2
-                probe = comb(pool_size - 1 - middle, r)
-                if probe > rest:
-                    low = middle + 1
-                else:
-                    high, value = middle, probe
-            c = high
-        rest -= value
-        positions.append(c)
-        value = value * r // (pool_size - 1 - c)
-        c += 1
+    tops = list(map(sub, pools, repeat(1)))
+    rests = list(map(sub, map(sub, map(comb, pools, repeat(size)), repeat(1)), indices))
+    columns: list[list[int]] = [[] for _ in range(size - 3)]
+    for j, (top, rest) in enumerate(zip(tops, rests) if size > 3 else ()):
+        c, value = -1, rest + 1  # no member yet: search from position 0
+        for r, column in zip(range(size, 3, -1), columns):
+            if value > rest:
+                low = high = c + 1
+                step = 1
+                while (value := comb(top - high, r)) > rest:
+                    low, high, step = high + 1, min(high + step, top + 1 - r), step * 2
+                while low < high:
+                    middle = (low + high) // 2
+                    probe = comb(top - middle, r)
+                    if probe > rest:
+                        low = middle + 1
+                    else:
+                        high, value = middle, probe
+                c = high
+            rest -= value
+            column.append(c)
+            value = value * r // (top - c)
+            c += 1
+        rests[j] = rest
     if size >= 3:
-        m = _icbrt(6 * rest) + 1
-        if comb(m + 1, 3) <= rest:
-            m += 1
-        positions.append(pool_size - 1 - m)
-        rest -= comb(m, 3)
+        floors = list(map(_icbrt, map(mul, rests, repeat(6))))
+        above = map(le, map(comb, map(add, floors, repeat(2)), repeat(3)), rests)
+        ms = list(map(add, map(add, floors, repeat(1)), above))
+        columns.append(list(map(sub, tops, ms)))
+        rests = list(map(sub, rests, map(comb, ms, repeat(3))))
     if size >= 2:
-        m = (1 + isqrt(1 + 8 * rest)) // 2
-        positions.append(pool_size - 1 - m)
-        rest -= m * (m - 1) // 2
+        sqrts = map(isqrt, map(add, map(mul, rests, repeat(8)), repeat(1)))
+        ms = list(map(floordiv, map(add, sqrts, repeat(1)), repeat(2)))
+        columns.append(list(map(sub, tops, ms)))
+        rests = list(map(sub, rests, map(comb, ms, repeat(2))))
     if size >= 1:
-        positions.append(pool_size - 1 - rest)
-    return positions
+        columns.append(list(map(sub, tops, rests)))
+    return columns
 
 
 def _icbrt(x: int) -> int:
@@ -157,9 +165,14 @@ def _levels(shape: ForestShape) -> list[list[int]]:
     radices = [comb(n, k + 1)]
     if s:
         radices.append(k + 1)
-        radices += [comb(left - 1, b - 2) for left in range(s * (b - 1), 0, 1 - b)]
+        radices += map(comb, _block_pools(b, s), repeat(b - 2))
         radices += [n] * (s - 1)
     return product_levels(radices)
+
+
+def _block_pools(b: int, s: int) -> range:
+    """Each block digit's pool size, left-1 for the left unassigned labels."""
+    return range(s * (b - 1) - 1, -1, 1 - b)
 
 
 def code_space_size(shape: ForestShape) -> int:
@@ -201,16 +214,16 @@ def _unrank(index: int, shape: ForestShape, levels: list[list[int]]) -> ForestCo
             split.append(digits[-1])
         digits = split
     b, s, k, n = shape.b, shape.s, shape.k, shape.n
-    roots = tuple(c + 1 for c in _combination_unrank(digits[0], n, k + 1))
+    roots = tuple(column[0] + 1 for column in _unrank_columns(digits[:1], [n], k + 1))
     root_set = set(roots)
     working = [v for v in range(1, n + 1) if v not in root_set]
     blocks = []
-    for digit in digits[2 : s + 2]:
-        first = working.pop(0)
-        positions = _combination_unrank(digit, len(working), b - 2)
-        blocks.append((first, *(working[c] for c in positions)))
+    columns = _unrank_columns(digits[2 : s + 2], _block_pools(b, s), b - 2)
+    # block j's head is working[j] (no columns at b = 2: a block is its head)
+    for start, positions in enumerate(zip(*columns) if columns else repeat((), s), 1):
+        blocks.append((working[start - 1], *[working[start + c] for c in positions]))
         for c in reversed(positions):
-            del working[c]
+            del working[start + c]
     links = tuple(digit + 1 for digit in digits[s + 2 :])
     return ForestCode(shape, roots, roots[digits[1]] if s else None, blocks, links)
 
@@ -224,18 +237,20 @@ def rank_code(code: ForestCode) -> int:
     """
     ensure_valid_code(code)
     shape = code.shape
-    n = shape.n
-    digits = [_combination_rank([v - 1 for v in code.roots], n)]
-    if shape.s:
+    b, s, k, n = shape.b, shape.s, shape.k, shape.n
+    digits = _rank_columns([[v - 1] for v in code.roots], [n], k + 1)
+    if s:
         digits.append(code.roots.index(code.final_root))
     root_set = set(code.roots)
     working = [v for v in range(1, n + 1) if v not in root_set]
-    for blk in code.blocks:  # ordered by smallest label: the canonical walk
-        del working[0]
-        positions = [bisect_left(working, v) for v in blk[1:]]
-        digits.append(_combination_rank(positions, len(working)))
-        for c in reversed(positions):
+    found = []
+    # blocks come by smallest label, the canonical walk: block j's is working[j]
+    for start, blk in enumerate(code.blocks, 1):
+        found.append([bisect_left(working, v, start) for v in blk[1:]])
+        for c in reversed(found[-1]):
             del working[c]
+    columns = [list(map(sub, column, range(1, s + 1))) for column in zip(*found)]
+    digits += _rank_columns(columns, _block_pools(b, s), b - 2)
     digits += [v - 1 for v in code.links]
     for level in _levels(shape)[:-1]:
         combined = [

@@ -127,6 +127,8 @@ class TestFactorialQuotient:
     @example((2, 0, [(2, 1), (2, -1)]))  # every exponent zero
     @example((97, 10**4, [(97, 1)]))  # power 10^4
     @example((97, 1 << 13, [(3, 1)]))  # single-bit exponents: 1, 1 and 2^13
+    # count_forests(2, 3, 0)'s list: 0! and 1!^-3, factorials with no prime
+    @example((4, 2, [(4, 1), (0, -1), (3, -1), (1, -3)]))
     def test_equals_the_plain_product_of_prime_powers(self, quotient):
         n, power, factorials = quotient
         exponents = prime_exponents(n, power, factorials)
@@ -143,6 +145,20 @@ class TestFactorialQuotient:
         with pytest.raises(InvariantViolation) as info:
             _factorial_quotient(3, 0, [(1, 1), (2, -1)], "half")
         assert str(info.value) == "half is not an integer: prime 2 has exponent -1"
+
+    @pytest.mark.parametrize(
+        "n,power,factorials,text",
+        [
+            # 1/4! = 1/(2^3 * 3): both primes go negative, the smaller is named
+            (5, 0, [(4, -1)], "q is not an integer: prime 2 has exponent -3"),
+            # 2!^2 * 4 / 3! * 1!^5 = 8/3: only the larger prime goes negative
+            (4, 1, [(2, 2), (3, -1), (1, 5)], "q is not an integer: prime 3 has exponent -1"),
+        ],
+    )
+    def test_refusal_names_the_smallest_negative_prime(self, n, power, factorials, text):
+        with pytest.raises(InvariantViolation) as info:
+            _factorial_quotient(n, power, factorials, "q")
+        assert str(info.value) == text
 
 
 class TestAsCount:

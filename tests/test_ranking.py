@@ -7,7 +7,7 @@ import resource
 import subprocess
 import sys
 from itertools import combinations
-from math import comb
+from math import comb, isqrt
 from pathlib import Path
 
 import pytest
@@ -34,11 +34,11 @@ from hyperforest import (
     validate_forest,
 )
 from hyperforest.ranking import (
-    _combination_rank,
-    _combination_unrank,
     _draw,
     _icbrt,
+    _rank_columns,
     _shuffle,
+    _unrank_columns,
 )
 from conftest import SWEEP_SHAPES
 
@@ -198,18 +198,120 @@ class TestRank:
         assert rank_code(unrank_code(index, shape)) == index
 
 
+def _combination_rank(positions: list[int], pool_size: int) -> int:
+    """Lexicographic rank of ascending positions among same-size subsets."""
+    size = len(positions)
+    return comb(pool_size, size) - 1 - sum(
+        comb(pool_size - 1 - c, size - i) for i, c in enumerate(positions)
+    )
+
+
+def _combination_unrank(index: int, pool_size: int, size: int) -> list[int]:
+    """Ascending positions of the index-th size-subset of a pool, lexicographic.
+
+    Inverts _combination_rank greedily.  With m = pool_size-1-c, each member
+    is the first position c past the previous one with comb(m, r) <= rest,
+    that is the largest such m; taking it leaves rest < comb(m, r-1), so the
+    next member lies further on.
+
+    For r >= 4 a search finds the member: the position right after the
+    previous member is tried first, its value derived from the member's as
+    comb(m-1, r-1) = comb(m, r)*r/m (m >= r-1 >= 3, so never over zero);
+    past it a galloping search and then bisection find the member.
+
+    The last three members are exact integer closed forms.  At r = 3, with
+    t = m-1, 6*comb(m, 3) = t^3 - t, so the floor c of the cube root of
+    6*rest has t^3 - t <= 6*rest < (c+1)^3, which leaves t = c or c+1:
+    m = c+1, or c+2 when comb(c+2, 3) <= rest.  At r = 2, comb(m, 2) <= rest
+    is (2m-1)^2 <= 8*rest + 1, and isqrt is the exact floor of a square
+    root at any size, so m = (1 + isqrt(1 + 8*rest)) // 2.  At r = 1,
+    comb(m, 1) = m, so m = rest.
+    """
+    rest = comb(pool_size, size) - 1 - index
+    positions = []
+    c, value = -1, rest + 1  # no member yet: search from position 0
+    for r in range(size, 3, -1):
+        if value > rest:
+            low = high = c + 1
+            step = 1
+            while (value := comb(pool_size - 1 - high, r)) > rest:
+                low, high, step = high + 1, min(high + step, pool_size - r), step * 2
+            while low < high:
+                middle = (low + high) // 2
+                probe = comb(pool_size - 1 - middle, r)
+                if probe > rest:
+                    low = middle + 1
+                else:
+                    high, value = middle, probe
+            c = high
+        rest -= value
+        positions.append(c)
+        value = value * r // (pool_size - 1 - c)
+        c += 1
+    if size >= 3:
+        m = _icbrt(6 * rest) + 1
+        if comb(m + 1, 3) <= rest:
+            m += 1
+        positions.append(pool_size - 1 - m)
+        rest -= comb(m, 3)
+    if size >= 2:
+        m = (1 + isqrt(1 + 8 * rest)) // 2
+        positions.append(pool_size - 1 - m)
+        rest -= m * (m - 1) // 2
+    if size >= 1:
+        positions.append(pool_size - 1 - rest)
+    return positions
+
+
+@st.composite
+def combination_columns(draw):
+    """(size, pools, indices): one size, and entries with mixed pools from
+    size to 10^40 labels, each with an index below its pool's count."""
+    size = draw(st.integers(0, 7))
+    pool = st.one_of(st.integers(size, size + 12), st.integers(size, 10**40))
+    pools = draw(st.lists(pool, min_size=1, max_size=8))
+    indices = [
+        draw(st.one_of(st.integers(0, comb(p, size) - 1), st.sampled_from([0, comb(p, size) - 1])))
+        for p in pools
+    ]
+    return size, pools, indices
+
+
+class TestCombinationColumns:
+    """The column functions against the one-combination-at-a-time reference
+    above, _combination_unrank and _combination_rank, in both directions."""
+
+    # sizes up to 7 search members at r = 7..4 ahead of the three closed forms
+    @settings(max_examples=300, deadline=None)
+    @given(combination_columns())
+    def test_unrank_columns_equal_the_reference(self, drawn):
+        size, pools, indices = drawn
+        columns = _unrank_columns(indices, pools, size)
+        assert len(columns) == size
+        expected = [_combination_unrank(i, p, size) for i, p in zip(indices, pools)]
+        assert [list(entry) for entry in zip(*columns)] == (expected if size else [])
+
+    @settings(max_examples=300, deadline=None)
+    @given(combination_columns())
+    def test_rank_columns_equal_the_reference(self, drawn):
+        size, pools, indices = drawn
+        rows = [_combination_unrank(i, p, size) for i, p in zip(indices, pools)]
+        columns = [list(column) for column in zip(*rows)]
+        expected = [_combination_rank(row, p) for row, p in zip(rows, pools)]
+        assert _rank_columns(columns, pools, size) == expected == indices
+
+
 class TestCombinationDigit:
     """The combination digit against its definitions: lexicographic order of
-    subsets, and _combination_rank as the inverse."""
+    subsets, and _rank_columns as the inverse."""
 
     def test_unrank_follows_itertools_order(self):
         for pool_size in range(13):
             for size in range(pool_size + 1):
                 expected = list(combinations(range(pool_size), size))
-                got = [
-                    tuple(_combination_unrank(i, pool_size, size))
-                    for i in range(comb(pool_size, size))
-                ]
+                total = comb(pool_size, size)
+                columns = _unrank_columns(range(total), [pool_size] * total, size)
+                got = list(zip(*columns)) if size else [()] * total
                 assert got == expected, (pool_size, size)
 
     # pools past 2^53, where a float square root would round the closed forms
@@ -221,11 +323,12 @@ class TestCombinationDigit:
         total = comb(pool_size, size)
         drawn = data.draw(st.integers(0, total - 1))
         for index in (0, total - 1, drawn):
-            positions = _combination_unrank(index, pool_size, size)
+            columns = _unrank_columns([index], [pool_size], size)
+            positions = [c for (c,) in columns]
             assert len(positions) == size
             assert all(0 <= c < pool_size for c in positions)
             assert positions == sorted(set(positions))
-            assert _combination_rank(positions, pool_size) == index
+            assert _rank_columns(columns, [pool_size], size) == [index]
 
 
 class TestIntegerCubeRoot:
@@ -461,6 +564,19 @@ class TestGoldenIndexes:
                 6, 45, 4, 47,
                 20353190272487662381524076418497140207424861262892238981738331015950984860667400712894527062017228923809379453524134101170037534388981373424791790542312913347657745147316338887476305091490823280628535331691503809238306340217108227906734499011732483760429686101355425612019259978360948035852291170662185955191497851316550760017046705218558736533913153904019313343062650520975385214985094462087577474,
                 ["c885262fd6244188", "6068675c692e2930", "800fb375301af37d"],
+            ),
+            # b = 7: five members per block digit, the first two searched; and
+            # b = 2 at k = 33, a 34-member roots' digit whose first 31 are
+            # searched; recorded before the digits were worked as columns
+            (
+                7, 30, 2, 5,
+                13214562114312855064640335677908580682852250370837867107459339831390779946008800524985074494971461684579693693253631052133230872547952797113068020152807984576435648685660273679965778261842781004713086729566510566857086913923186888798766917870684991771769078289727728536488462612555482,
+                ["6b92f97b3527a7c7", "3a7c3f5693573f25", "b0bf9add40399f69"],
+            ),
+            (
+                2, 45, 33, 13,
+                106992405738996980261490555392197313906193078696795424254564395296801877208813148966992719354014055105524421,
+                ["75a59ba78c4e821f", "e792f357a66d4ada", "131ad9e6fe9348fb"],
             ),
         ],
     )

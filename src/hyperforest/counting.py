@@ -9,9 +9,10 @@ of the primes at each bit; a negative exponent fails their integrality
 assertion.  Both hypercycle forms are one prefactor from
 the same prime exponents, times an integer numerator, divided once by 2s;
 the count per cycle length is one exact division of n! * j*(b-1) by its
-factorials.  A remainder fails the same assertion, and a count that no int
-could hold is refused before any work starts.  fractions.Fraction appears
-only in a failed division's message and in :func:`cycle_sum_identity`.
+factorials.  A remainder fails the same assertion.  A count, or a sieve,
+that memory could not hold is refused before any work starts.
+fractions.Fraction appears only in a failed division's message and in
+:func:`cycle_sum_identity`.
 
 With n = s*(b-1) + k + 1, forests of k+1 rooted hypertrees with s edges
 number (n!/k!) * n^(s-1) / (s! * (b-1)!^s).  A rooted hypertree is a forest
@@ -35,7 +36,6 @@ them.
 
 from __future__ import annotations
 
-import sys
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress, repeat
@@ -44,7 +44,7 @@ from operator import add, and_, floordiv, lt, mod, mul, not_, rshift
 from typing import Literal, NamedTuple
 
 from .codec import ForestShape, check_shape, product_levels
-from .errors import InvariantViolation, ParameterRangeError, _words
+from .errors import InvariantViolation, ParameterRangeError, _ensure_fits, _words
 
 HypercycleForm = Literal["closed", "sum"]
 
@@ -58,12 +58,8 @@ def _as_count(numerator: int, denominator: int, what: str) -> int:
     return count
 
 
-# the most bits an int can have: at most sys.maxsize bytes of digits
-_INT_BITS = sys.maxsize // sys.int_info.sizeof_digit * sys.int_info.bits_per_digit
-
-
 def _ensure_holdable(bits: int, factorials: list[tuple[int, int]]) -> None:
-    """Refuse a count that no int could hold, before any factorial is taken.
+    """Refuse a count that memory could not hold, before any factorial is taken.
 
     The count is at least 2**bits * prod(m! ** weight for m, weight in
     factorials).  With L = m.bit_length(), (m/e)^m <= m! <= m^m puts log2(m!)
@@ -72,12 +68,14 @@ def _ensure_holdable(bits: int, factorials: list[tuple[int, int]]) -> None:
     """
     for m, weight in factorials:
         bits += weight * m * (m.bit_length() - (3 if weight > 0 else 0))
-    if bits > _INT_BITS:
-        raise ParameterRangeError("parameters too large to compute")
+    _ensure_fits(bits // 8)
 
 
 def _primes_upto(n: int) -> list[int]:
-    """The primes p <= n, for n >= 1, by the sieve of Eratosthenes."""
+    """The primes p <= n, for n >= 1, by the sieve of Eratosthenes; refused
+    first if memory could not hold its n+1 bytes and the 8-byte slots of
+    more than n/log2(n) primes (pi(n) > n/ln(n) for n >= 17)."""
+    _ensure_fits(n + 8 * (n // n.bit_length()))
     sieve = bytearray([1])
     sieve *= n + 1  # in place: a failed repeat of a temporary also prints a SystemError
     sieve[0] = sieve[1] = 0
@@ -146,10 +144,10 @@ def count_forests(b: int, s: int, k: int) -> int:
     n = ForestShape(b=b, s=s, k=k).n
     if s == 0:
         return 1
-    return _factorial_quotient(
-        n, s - 1, [(n, 1), (k, -1), (s, -1), (b - 1, -s)],
-        f"forest count for b={b}, s={s}, k={k}",
-    )
+    factorials = [(n, 1), (k, -1), (s, -1), (b - 1, -s)]
+    # n^(s-1) >= 2^((L-1)*(s-1)), L = n's bits
+    _ensure_holdable((s - 1) * (n.bit_length() - 1), factorials)
+    return _factorial_quotient(n, s - 1, factorials, f"forest count for b={b}, s={s}, k={k}")
 
 
 def count_rooted_hypertrees(b: int, s: int) -> int:

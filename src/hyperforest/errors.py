@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import sys
 from decimal import Decimal
 
 
@@ -22,6 +24,18 @@ class InvalidStructureError(HyperforestError, ValueError):
 
 class ParameterRangeError(HyperforestError, ValueError):
     """A shape parameter, index, seed, or count is outside its valid range."""
+
+
+def _ensure_fits(size: int) -> None:
+    """Refuse work that would build size bytes, past sys.maxsize or past
+    physical memory where os.sysconf reports it.  Callers pass a lower bound
+    before building anything, so only work that could never finish is refused."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        memory = 0
+    if size > sys.maxsize or 0 < memory < size:
+        raise ParameterRangeError("parameters too large to compute")
 
 
 class BudgetExceededError(HyperforestError, RuntimeError):

@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .codec import Block, ForestCode, ForestShape, check_shape
 from .counting import count_forests, count_hypercycles, hypercycle_class_count
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, _ensure_fits
 from .forest import Hyperedge, RootedForest, _components
 
 DEFAULT_BUDGET = 10_000_000
@@ -24,6 +24,19 @@ DEFAULT_BUDGET = 10_000_000
 def _check_budget(candidates: int, budget: int) -> None:
     if candidates > budget:
         raise BudgetExceededError(candidates, budget)
+
+
+def _edge_sets(n: int, b: int, s: int, repeated: bool = False) -> int:
+    """How many ways s edges can be drawn from the C(n, b) b-subsets of n
+    vertices, without or with repetition.  Refused before any comb() when
+    memory could not hold it: as C(m, r) >= (m/r)^r, C(n, b) has at least
+    t*((n//t).bit_length()-1) bits for t = min(b, n-b) > 0, and C(C(n, b), s),
+    which repetition only raises, at least s times that less s's bit length."""
+    t = min(b, n - b)
+    edge_bits = t * ((n // t).bit_length() - 1) if t > 0 else 0
+    _ensure_fits(s * (edge_bits - s.bit_length()) // 8)
+    edges = comb(n, b)
+    return comb(edges + s - 1, s) if repeated else comb(edges, s)
 
 
 def enumerate_forests(
@@ -36,9 +49,8 @@ def enumerate_forests(
     root choice per component (Cartesian product over components ordered by
     smallest vertex).  Refuses when C(C(n, b), s) exceeds the budget.
     """
-    shape = ForestShape(b=b, s=s, k=k)
-    n = shape.n
-    _check_budget(comb(comb(n, b), s), budget)
+    n = ForestShape(b=b, s=s, k=k).n
+    _check_budget(_edge_sets(n, b, s), budget)
 
     def generate() -> Iterator[RootedForest]:
         all_edges = list(combinations(range(1, n + 1), b))
@@ -117,14 +129,8 @@ def enumerate_hypercycles(
     """
     check_shape(b, s, min_s=2)
     n = s * (b - 1)
-    edge_count = comb(n, b)
-    if allow_repeated_edges:
-        candidates = comb(edge_count + s - 1, s)
-        chooser = combinations_with_replacement
-    else:
-        candidates = comb(edge_count, s)
-        chooser = combinations
-    _check_budget(candidates, budget)
+    _check_budget(_edge_sets(n, b, s, allow_repeated_edges), budget)
+    chooser = combinations_with_replacement if allow_repeated_edges else combinations
 
     def generate() -> Iterator[tuple[Hyperedge, ...]]:
         all_edges = list(combinations(range(1, n + 1), b))

@@ -40,18 +40,15 @@ unchanged: each forest is the one its drawn code decodes to.
 
 from __future__ import annotations
 
-import os
 import random
-import struct
-import sys
 from bisect import bisect_left
 from collections.abc import Iterator, Sequence
-from itertools import repeat
+from itertools import islice, product, repeat
 from math import comb, isqrt
 from operator import add, floordiv, le, mul, sub
 
 from .codec import ForestCode, ForestShape, _replay, ensure_valid_code, product_levels
-from .errors import ParameterRangeError, _words
+from .errors import ParameterRangeError, _ensure_fits, _words
 from .forest import RootedForest
 
 _SEED_LIMIT = 1 << 64
@@ -145,20 +142,6 @@ def _icbrt(x: int) -> int:
         y = z
 
 
-def _ensure_listable(entries: int) -> None:
-    """Refuse work that lists more entries than a list could hold: no list
-    holds more than sys.maxsize entries, nor more pointer slots than
-    physical memory holds, where os.sysconf reports it.  A code lists its n
-    labels, and a shape has 2s+1 radices; past that bound either list alone
-    would grow memory without end."""
-    try:
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
-        memory = 0
-    if entries > sys.maxsize or 0 < memory < entries * struct.calcsize("P"):
-        raise ParameterRangeError("parameters too large to compute")
-
-
 def _levels(shape: ForestShape) -> list[list[int]]:
     """Product tree of the digit radices, most significant first (module docstring)."""
     b, s, k, n = shape.b, shape.s, shape.k, shape.n
@@ -182,7 +165,7 @@ def code_space_size(shape: ForestShape) -> int:
     tests can compare the two routes.  It is the root of the radices'
     product tree, the tree that rank and unrank combine and split along.
     """
-    _ensure_listable(2 * shape.s + 1)
+    _ensure_fits(8 * (2 * shape.s + 1))  # a list of the radices: 8-byte slots
     return _levels(shape)[-1][0]
 
 
@@ -194,7 +177,7 @@ def unrank_code(index: int, shape: ForestShape) -> ForestCode:
     left child's value as quotient and the right child's as remainder, so
     every division meets a divisor about half its dividend's size.
     """
-    _ensure_listable(shape.n)
+    _ensure_fits(8 * shape.n)  # a list of the n labels: 8-byte slots
     return _unrank(index, shape, _levels(shape))
 
 
@@ -301,6 +284,7 @@ def _shuffle(rng: random.Random, values: list[int]) -> None:
 
 def sample_code(shape: ForestShape, seed: int) -> ForestCode:
     """Draw a uniformly random code of the shape, deterministic in the seed."""
+    _ensure_fits(8 * shape.n)
     return ForestCode(shape, *_draw(shape, _rng(seed)))
 
 
@@ -362,6 +346,7 @@ def _sample_stream(shape: ForestShape, seed: int, m: int) -> Iterator[RootedFore
     rng = _rng(seed)
     if m < 0:
         raise ParameterRangeError(f"draw count m={_words(m)} must be at least 0")
+    _ensure_fits(8 * shape.n)
     n, b, s = shape.n, shape.b, shape.s
 
     def forests() -> Iterator[RootedForest]:
@@ -393,17 +378,17 @@ def _id_stream(
     before the first step; each step is made as it is read.
 
     The s-1 links are the numeral's last digits, so code i+1 is code i with
-    its link numeral stepped by one in base n, as a mixed-radix odometer
-    (Knuth, TAOCP 4A, 7.2.1.1, Algorithm M) that keeps the roots, final
-    root and blocks.  Only the first code, and a code reached by a carry out
-    of the first link, is unranked over the radices' product tree.  A step
+    its link numeral stepped by one in base n: the links run through
+    itertools.product of 1..n in order, and the roots, final root and
+    blocks stay.  Only the first code, and a code reached by a carry out of
+    the first link, is unranked over the radices' product tree.  A step
     builds no code: generate_ids puts each in a ForestCode, and the CLI
     encodes an unranked code's head once and prints each step's links
     after it.
     """
     if m < 0:
         raise ParameterRangeError(f"id count m={_words(m)} must be at least 0")
-    _ensure_listable(shape.n)
+    _ensure_fits(8 * shape.n)
     levels = _levels(shape)
     total = levels[-1][0]
     if m > total:
@@ -416,19 +401,12 @@ def _id_stream(
 def _odometer(
     shape: ForestShape, levels: list[list[int]], m: int
 ) -> Iterator[tuple[ForestCode, tuple[int, ...]]]:
-    """The first m steps of _id_stream, unranking only where a carry leaves
-    the links; every other step is the unranked code and stepped links."""
-    n = shape.n
-    links: list[int] = []  # no code yet: the first step carries out
-    for i in range(m):
-        j = len(links) - 1
-        while j >= 0 and links[j] == n:
-            links[j] = 1
-            j -= 1
-        if j < 0:
-            code = _unrank(i, shape, levels)
-            links = list(code.links)
-            yield code, code.links
-        else:
-            links[j] += 1
-            yield code, tuple(links)
+    """The first m steps of _id_stream.  An unranked code's links are all
+    ones, so its steps are the link tuples in order, up to the carry that
+    leaves the links and unranks the next code."""
+    labels, width, i = range(1, shape.n + 1), max(shape.s - 1, 0), 0
+    while i < m:
+        code = _unrank(i, shape, levels)
+        for links in islice(product(labels, repeat=width), m - i):
+            i += 1
+            yield code, links

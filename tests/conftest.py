@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
+import hyperforest
 from hyperforest import ForestCode, ForestShape, RootedForest
 
 WORKED_EDGES = (
@@ -52,6 +58,31 @@ def range_message(b: int, s: int, k: int = 0, min_s: int = 0) -> str:
     if s < min_s:
         return f"edge count s={s} must be at least {min_s}"
     return f"tree parameter k={k} must be at least 0"
+
+
+def run_capped(*argv: str) -> subprocess.CompletedProcess:
+    """Run python with argv in a fresh process, with this package importable,
+    its address space capped at 256 MB and a 10 s timeout: work run without
+    bound fails there, on a MemoryError or the timeout, and does not fill the
+    test runner's memory."""
+    env = dict(os.environ, PYTHONPATH=str(Path(hyperforest.__file__).parents[1]))
+    cap = (256 << 20, 256 << 20)
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=10, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
+
+
+def refusal_of(call: str) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of a fresh capped process that makes
+    the library call and prints the ParameterRangeError it raises."""
+    script = (
+        "import hyperforest as h\n"
+        "try:\n"
+        f"    h.{call}\n"
+        "except h.ParameterRangeError as error:\n"
+        "    print(error)\n"
+    )
+    done = run_capped("-c", script)
+    return done.returncode, done.stdout, done.stderr
 
 
 def small_hypergraphs():

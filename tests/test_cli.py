@@ -31,6 +31,7 @@ from conftest import (
     WORKED_FINAL_ROOT,
     WORKED_LINKS,
     WORKED_ROOTS,
+    run_capped,
 )
 
 WORKED_FOREST_DOC = {
@@ -804,6 +805,26 @@ class TestParametersTooLargeToCompute:
     def test_huge_hypercycle_counts_are_refused_within_seconds(self, argv):
         _assert_refused_within_seconds(argv)
 
+    # a lower bound on each count, its prime sieve or its candidate count
+    # passes a terabyte: the refusal comes before the sieve, the factorial or
+    # comb(), which would run for hours or fill memory
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "--kind", "hypercycles", "--b", "3", "--s", str(2**40)],
+            ["count", "--kind", "hypercycles", "--b", "3", "--s", str(2**40), "--form", "sum"],
+            ["count", "--kind", "hypercycle-class", "--b", "3", "--s", str(2**40), "--j", "2"],
+            ["audit", "--b", "3", "--s", TOO_MANY],
+            ["enumerate", "--kind", "forests", "--b", "2", "--s", TOO_MANY, "--k", "0"],
+            ["enumerate", "--kind", "hypercycles", "--b", "3", "--s", TOO_MANY],
+            ["count", "--kind", "forests", "--b", "2", "--s", "1", "--k", str(10**12)],
+        ],
+        ids=["hypercycles", "hypercycles-sum", "hypercycle-class", "audit",
+             "enumerate-forests", "enumerate-hypercycles", "forests-sieve"],
+    )
+    def test_counts_and_enumerations_past_memory_are_refused_within_seconds(self, argv):
+        _assert_refused_within_seconds(argv)
+
     # n passes sys.maxsize, so no list could hold a code's labels: the refusal
     # comes before the radices are built or the k+1 roots are unranked
     @pytest.mark.parametrize(
@@ -834,11 +855,10 @@ class TestParametersTooLargeToCompute:
 
 
 def _assert_refused_within_seconds(argv):
-    """A fresh process, so that a call that runs without bound fails on the
-    timeout and not by exhausting the test runner's memory."""
-    env = dict(os.environ, PYTHONPATH=str(Path(hyperforest.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-m", "hyperforest.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=10)
+    """A fresh process with a capped address space, so that a call that runs
+    without bound fails on the timeout and not by exhausting the test
+    runner's memory."""
+    done = run_capped("-m", "hyperforest.cli", *argv)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == '{"error":"range","message":"parameters too large to compute"}\n'
 

@@ -6,9 +6,12 @@ count of rooted labelled trees at b=2, and internal identities that two
 separately implemented formulas must satisfy on a grid.
 """
 
+import os
 import time
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,9 +28,9 @@ from hyperforest import (
     cycle_sum_identity,
     hypercycle_class_count,
 )
-from hyperforest import counting
+from hyperforest import counting, errors
 from hyperforest.counting import _as_count, _factorial_quotient
-from conftest import range_message
+from conftest import range_message, refusal_of
 
 
 class TestCountForests:
@@ -279,34 +282,63 @@ class TestHypercycleClassCount:
 
 
 class TestCountsNoIntHolds:
-    """The hypercycle counts refuse, before any factorial, a count whose bit
-    length provably passes the largest int's; the bound never passes the
-    bit length of a count that is computed."""
+    """The counts refuse, before any factorial, a count whose byte length
+    provably passes what memory holds, through the shared size rule; the
+    bound never passes the bytes of a count that is computed."""
 
     def test_bound_stays_within_each_counts_bits(self, monkeypatch):
+        asked = []
+        rule = counting._ensure_fits
+        monkeypatch.setattr(counting, "_ensure_fits", lambda size: asked.append(size) or rule(size))
         for b in range(2, 7):
             for s in range(2, 31):
-                counts = [("closed", count_hypercycles(b, s))]
-                counts += [(j, hypercycle_class_count(b, s, j)) for j in range(2, s + 1)]
-                for kind, count in counts:
-                    monkeypatch.setattr(counting, "_INT_BITS", count.bit_length())
-                    if kind == "closed":
-                        assert count_hypercycles(b, s) == count
-                    else:
-                        assert hypercycle_class_count(b, s, kind) == count
+                calls = [partial(count_hypercycles, b, s)]
+                calls += [partial(hypercycle_class_count, b, s, j) for j in range(2, s + 1)]
+                for call in calls:
+                    monkeypatch.setattr(errors, "os", os)  # the machine's memory
+                    asked.clear()
+                    count = call()
+                    # the count's own bound is asked first, before its sieve's
+                    # sizes; memory for the count and the sieve alone computes it
+                    size = (count.bit_length() + 7) // 8
+                    assert asked[0] <= size
+                    _fake_memory(monkeypatch, max([size, *asked[1:]]))
+                    assert call() == count
 
     @pytest.mark.parametrize("form", ["closed", "sum"])
     def test_hypercycles_past_the_limit(self, monkeypatch, form):
-        monkeypatch.setattr(counting, "_INT_BITS", 10**4)
+        _fake_memory(monkeypatch, 10**4 // 8)
         with pytest.raises(ParameterRangeError) as info:
             count_hypercycles(3, 10**4, form)
         assert str(info.value) == "parameters too large to compute"
 
     def test_hypercycle_class_past_the_limit(self, monkeypatch):
-        monkeypatch.setattr(counting, "_INT_BITS", 10**4)
+        _fake_memory(monkeypatch, 10**4 // 8)
         with pytest.raises(ParameterRangeError) as info:
             hypercycle_class_count(3, 10**4, 2)
         assert str(info.value) == "parameters too large to compute"
+
+    # a lower bound on each hypercycle count passes 4 TB, and the forest
+    # count's sieve to n = 10^12 + 2 a terabyte: the refusal comes before any
+    # work, in a fresh capped process
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "count_hypercycles(3, 2**40)",
+            "count_hypercycles(3, 2**40, 'sum')",
+            "hypercycle_class_count(3, 2**40, 2)",
+            "count_forests(2, 1, 10**12)",
+        ],
+        ids=["hypercycles", "hypercycles-sum", "hypercycle-class", "forests-sieve"],
+    )
+    def test_past_memory_is_refused_before_any_work(self, call):
+        assert refusal_of(call) == (0, "parameters too large to compute\n", "")
+
+
+def _fake_memory(monkeypatch, size):
+    """Make the shared size rule read size bytes of physical memory."""
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": size}
+    monkeypatch.setattr(errors, "os", SimpleNamespace(sysconf=pages.__getitem__))
 
 
 def hypercycle_fraction(b, s, form):

@@ -26,7 +26,7 @@ from hyperforest import (
     validate_code,
     validate_forest,
 )
-from conftest import range_message
+from conftest import range_message, refusal_of
 
 
 class TestEnumerateForests:
@@ -248,3 +248,19 @@ class TestAuditHypercycles:
         assert report.closed_form_count == 1080
         assert report.set_count is None
         assert report.multiset_count is None
+
+
+# a lower bound on each count or candidate count passes 10^17 bytes, past any
+# memory: the refusal comes before any comb(), in a fresh capped process
+@pytest.mark.parametrize(
+    "call",
+    [
+        "audit_hypercycles(3, 10**17)",
+        "enumerate_forests(2, 10**17, 0)",
+        "enumerate_hypercycles(3, 10**17)",
+        "enumerate_hypercycles(3, 10**17, allow_repeated_edges=True)",
+    ],
+    ids=["audit", "forests", "hypercycles", "hypercycles-repeated"],
+)
+def test_past_memory_is_refused_before_any_count(call):
+    assert refusal_of(call) == (0, "parameters too large to compute\n", "")

@@ -230,6 +230,32 @@ def test_id_odometer_builds_no_code():
     assert not used & {"ForestCode", "unrank_code", "generate_ids"}
 
 
+def test_one_function_holds_the_size_rule():
+    """errors._ensure_fits is the one reader of os.sysconf and the one raiser
+    of the size refusal; cli.main's backstop, which words a late
+    OverflowError or MemoryError the same way, is the one other text."""
+    text = "parameters too large to compute"
+    homes = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (getattr(node, "id", None) or getattr(node, "attr", None)) == "sysconf":
+                use = "sysconf"
+            elif isinstance(node, ast.Constant) and text in str(node.value):
+                use = "text"
+            else:
+                continue
+            # breadth-first, so the last function that spans the node is the innermost
+            spans = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            homes.add((path.name, spans[-1] if spans else None, use))
+    assert homes == {
+        ("errors.py", "_ensure_fits", "sysconf"),
+        ("errors.py", "_ensure_fits", "text"),
+        ("cli.py", "main", "text"),
+    }
+
+
 def test_validate_forest_counts_and_does_not_group():
     """validate_forest reads excess and roots from the union-find's counts;
     the vertex lists of _components serve the oracle and

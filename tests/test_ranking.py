@@ -1,20 +1,15 @@
 """Tests for ranking, unranking, uniform sampling, and id generation."""
 
 import hashlib
-import os
 import random
-import resource
-import subprocess
 import sys
 from itertools import combinations
 from math import comb, isqrt
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hyperforest
 from hyperforest import (
     ForestCode,
     ForestShape,
@@ -40,7 +35,7 @@ from hyperforest.ranking import (
     _shuffle,
     _unrank_columns,
 )
-from conftest import SWEEP_SHAPES
+from conftest import SWEEP_SHAPES, refusal_of
 
 # (b, s, k, past_end, length, sha256 prefix) of the out-of-range refusal
 # text, recorded from the digit-by-digit unrank
@@ -76,25 +71,9 @@ class TestCodeSpaceSize:
     # MemoryError, and not by filling the test runner's memory
     @pytest.mark.parametrize("s", [sys.maxsize, 2**40], ids=["maxsize", "2^40"])
     def test_refuses_radices_no_list_could_hold(self, s):
-        script = (
-            "from hyperforest import ForestShape, ParameterRangeError, code_space_size\n"
-            "try:\n"
-            f"    code_space_size(ForestShape(b=2, s={s}, k=0))\n"
-            "except ParameterRangeError as error:\n"
-            "    print(error)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(hyperforest.__file__).parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
-            timeout=10, preexec_fn=_cap_address_space,
-        )
-        assert (done.returncode, done.stdout, done.stderr) == (
+        assert refusal_of(f"code_space_size(h.ForestShape(b=2, s={s}, k=0))") == (
             0, "parameters too large to compute\n", ""
         )
-
-
-def _cap_address_space():
-    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
 
 
 class TestUnrank:
@@ -375,6 +354,14 @@ class TestSampling:
         assert len(batch) == 4
         assert batch[0] == sample_forest(shape, 777)
         assert batch == sample_forests(shape, 777, 4)
+
+    def test_refuses_a_code_no_memory_could_hold(self):
+        # n = 2 * 10^17 + 1 label slots pass any physical memory: the refusal
+        # comes before the labels are listed
+        shape = ForestShape(b=3, s=10**17, k=0)
+        for call in (lambda: sample_code(shape, 1), lambda: sample_forests(shape, 1, 1)):
+            with pytest.raises(ParameterRangeError, match="^parameters too large to compute$"):
+                call()
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64])
     def test_rejects_out_of_range_seed(self, seed):

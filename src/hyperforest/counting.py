@@ -8,11 +8,11 @@ squaring over the exponents' bits and multiplying in a balanced product tree
 of the primes at each bit; a negative exponent fails their integrality
 assertion.  Both hypercycle forms are one prefactor from
 the same prime exponents, times an integer numerator, divided once by 2s;
-the count per cycle length is one exact division of n! * j*(b-1) by its
-factorials.  A remainder fails the same assertion.  A count, or a sieve,
-that memory could not hold is refused before any work starts.
-fractions.Fraction appears only in a failed division's message and in
-:func:`cycle_sum_identity`.
+the count per cycle length is its factorials' quotient from the same prime
+exponents, times j*(b-1), halved.  A remainder fails the same assertion.
+A count, or a sieve, that memory could not hold is refused before any work
+starts.  fractions.Fraction appears only in a failed division's message and
+in :func:`cycle_sum_identity`, the one caller of math.factorial.
 
 With n = s*(b-1) + k + 1, forests of k+1 rooted hypertrees with s edges
 number (n!/k!) * n^(s-1) / (s! * (b-1)!^s).  A rooted hypertree is a forest
@@ -59,7 +59,7 @@ def _as_count(numerator: int, denominator: int, what: str) -> int:
 
 
 def _ensure_holdable(bits: int, factorials: list[tuple[int, int]]) -> None:
-    """Refuse a count that memory could not hold, before any factorial is taken.
+    """Refuse a count that memory could not hold, before its primes are sieved.
 
     The count is at least 2**bits * prod(m! ** weight for m, weight in
     factorials).  With L = m.bit_length(), (m/e)^m <= m! <= m^m puts log2(m!)
@@ -102,6 +102,8 @@ def _factorial_quotient(
     the quotient is not an integer, which the counts' proofs rule out, so
     the smallest such prime's raises InvariantViolation.
     """
+    # refused before the sieve: n^power >= 2^((L-1)*power), L = n's bits
+    _ensure_holdable(power * (n.bit_length() - 1), factorials)
     primes = _primes_upto(n)
     exponents = [0] * len(primes)
     for m, weight in factorials:
@@ -145,8 +147,6 @@ def count_forests(b: int, s: int, k: int) -> int:
     if s == 0:
         return 1
     factorials = [(n, 1), (k, -1), (s, -1), (b - 1, -s)]
-    # n^(s-1) >= 2^((L-1)*(s-1)), L = n's bits
-    _ensure_holdable((s - 1) * (n.bit_length() - 1), factorials)
     return _factorial_quotient(n, s - 1, factorials, f"forest count for b={b}, s={s}, k={k}")
 
 
@@ -206,19 +206,16 @@ def hypercycle_class_count(b: int, s: int, j: int) -> int:
     Evaluates, on n = s*(b-1) vertices,
     C(n, j*(b-1)) * j*(b-1) * ((s-j)*(b-1))! / ((s-j)! * (b-1)!^(s-j))
     times (1/2) * (j*(b-1))! / (b-2)!^j, for 2 <= j <= s.  With m = j*(b-1),
-    C(n, m) * m! * (n-m)! = n!, so this is one exact division of
-    n! * j*(b-1) by 2 * (s-j)! * (b-1)!^(s-j) * (b-2)!^j.
+    C(n, m) * m! * (n-m)! = n!, so this is n! / ((s-j)! * (b-1)!^(s-j) *
+    (b-2)!^j) from its prime exponents, times j*(b-1), divided once by 2.
     """
     check_shape(b, s, min_s=2)
     if j < 2 or j > s:
         raise ParameterRangeError(f"cycle length j={_words(j)} must lie in 2..{_words(s)}")
     n = s * (b - 1)
-    _ensure_holdable(-1, [(n, 1), (s - j, -1), (b - 1, j - s), (b - 2, -j)])
-    return _as_count(
-        factorial(n) * j * (b - 1),
-        2 * factorial(s - j) * factorial(b - 1) ** (s - j) * factorial(b - 2) ** j,
-        f"hypercycle class count for b={b}, s={s}, j={j}",
-    )
+    what = f"hypercycle class count for b={b}, s={s}, j={j}"
+    factorials = [(n, 1), (s - j, -1), (b - 1, j - s), (b - 2, -j)]
+    return _as_count(_factorial_quotient(n, 0, factorials, what) * j * (b - 1), 2, what)
 
 
 class CycleSumIdentity(NamedTuple):

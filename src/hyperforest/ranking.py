@@ -395,18 +395,13 @@ def _id_stream(
         raise ParameterRangeError(
             f"requested {_words(m)} ids but the shape has only {_words(total)} codes"
         )
-    return _odometer(shape, levels, m)
 
+    def _odometer() -> Iterator[tuple[ForestCode, tuple[int, ...]]]:
+        labels, width, i = range(1, shape.n + 1), max(shape.s - 1, 0), 0
+        while i < m:
+            code = _unrank(i, shape, levels)
+            for links in islice(product(labels, repeat=width), m - i):
+                i += 1
+                yield code, links
 
-def _odometer(
-    shape: ForestShape, levels: list[list[int]], m: int
-) -> Iterator[tuple[ForestCode, tuple[int, ...]]]:
-    """The first m steps of _id_stream.  An unranked code's links are all
-    ones, so its steps are the link tuples in order, up to the carry that
-    leaves the links and unranks the next code."""
-    labels, width, i = range(1, shape.n + 1), max(shape.s - 1, 0), 0
-    while i < m:
-        code = _unrank(i, shape, levels)
-        for links in islice(product(labels, repeat=width), m - i):
-            i += 1
-            yield code, links
+    return _odometer()

@@ -264,6 +264,12 @@ class TestHypercycleClassCount:
                     assert isinstance(value, int)
                     assert value >= 0
 
+    # past the s <= 40 grid, at both ends of j and between
+    @pytest.mark.parametrize("b,s", [(3, 1500), (4, 2000), (6, 1000), (3, 20000)])
+    def test_equals_the_factorial_route_at_large_s(self, b, s):
+        for j in sorted({2, 3, s // 3, s // 2, s - 1, s}):
+            assert hypercycle_class_count(b, s, j) == _factorial_class_count(b, s, j)
+
     @pytest.mark.parametrize("j", [0, 1, 5])
     def test_rejects_cycle_length_outside_range(self, j):
         with pytest.raises(ParameterRangeError):
@@ -281,8 +287,21 @@ class TestHypercycleClassCount:
         assert str(info.value) == range_message(b, s, min_s=2)
 
 
+def _factorial_class_count(b: int, s: int, j: int) -> int:
+    """hypercycle_class_count's earlier factorial route, kept as the
+    reference for the prime-exponent one: with m = j*(b-1), C(n, m) * m! *
+    (n-m)! = n!, so this is one exact division of n! * j*(b-1) by
+    2 * (s-j)! * (b-1)!^(s-j) * (b-2)!^j."""
+    n = s * (b - 1)
+    return _as_count(
+        factorial(n) * j * (b - 1),
+        2 * factorial(s - j) * factorial(b - 1) ** (s - j) * factorial(b - 2) ** j,
+        f"hypercycle class count for b={b}, s={s}, j={j}",
+    )
+
+
 class TestCountsNoIntHolds:
-    """The counts refuse, before any factorial, a count whose byte length
+    """The counts refuse, before any sieve, a count whose byte length
     provably passes what memory holds, through the shared size rule; the
     bound never passes the bytes of a count that is computed."""
 
@@ -318,6 +337,22 @@ class TestCountsNoIntHolds:
             hypercycle_class_count(3, 10**4, 2)
         assert str(info.value) == "parameters too large to compute"
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            partial(count_forests, 3, 10**4, 0),
+            partial(count_hypercycles, 3, 10**4),
+            partial(hypercycle_class_count, 3, 10**4, 2),
+        ],
+        ids=["forests", "hypercycles", "hypercycle-class"],
+    )
+    def test_refused_before_the_sieve(self, monkeypatch, call):
+        _fake_memory(monkeypatch, 10**4 // 8)
+        monkeypatch.setattr(counting, "_primes_upto", _no_sieve)
+        with pytest.raises(ParameterRangeError) as info:
+            call()
+        assert str(info.value) == "parameters too large to compute"
+
     # a lower bound on each hypercycle count passes 4 TB, and the forest
     # count's sieve to n = 10^12 + 2 a terabyte: the refusal comes before any
     # work, in a fresh capped process
@@ -333,6 +368,10 @@ class TestCountsNoIntHolds:
     )
     def test_past_memory_is_refused_before_any_work(self, call):
         assert refusal_of(call) == (0, "parameters too large to compute\n", "")
+
+
+def _no_sieve(n):
+    raise AssertionError(f"sieved to {n} before the refusal")
 
 
 def _fake_memory(monkeypatch, size):
@@ -427,6 +466,17 @@ class TestCrossFormulaConsistency:
                         comb(n, k + 1) * (k + 1) * partitions * n ** (s - 1)
                     )
                     assert count_forests(b, s, k) == expected
+
+    def test_per_length_counts_weighted_by_powers_of_n_sum_to_n_times_the_count(self):
+        # the sum form's j-th term is the class count times n^(s-j-1); the
+        # audit still reports the families side by side, unreconciled
+        for b in range(2, 8):
+            for s in range(2, 41):
+                n = s * (b - 1)
+                weighted = sum(
+                    hypercycle_class_count(b, s, j) * n ** (s - j) for j in range(2, s + 1)
+                )
+                assert weighted == n * count_hypercycles(b, s)
 
     def test_per_length_counts_are_nonzero_exactly_when_allowed(self):
         # every cycle length from 2 to s contributes at least one class member

@@ -363,15 +363,21 @@ def test_hypertrees_are_counted_as_one_tree_forests():
 
 
 def test_hypercycles_are_counted_from_prime_exponents():
-    """count_hypercycles takes its prefactor from _factorial_quotient, the
-    sum form has no Fraction loop of its own, and factorial is called only
-    by the class count and the identity's exact rationals."""
+    """count_hypercycles takes its prefactor, and hypercycle_class_count its
+    quotient, from _factorial_quotient; the sum form has no Fraction loop of
+    its own, and factorial is called only by the identity's exact
+    rationals.  _factorial_quotient states its own size bound, so the
+    counts that pass their factorial list straight to it state none."""
     calls = _counting_calls()
     assert "_cycle_sum" not in calls
     assert "_factorial_quotient" in calls["count_hypercycles"]
+    assert "_factorial_quotient" in calls["hypercycle_class_count"]
     assert {name for name, called in calls.items() if "factorial" in called} == {
-        "hypercycle_class_count", "cycle_sum_identity",
+        "cycle_sum_identity",
     }
+    assert "_ensure_holdable" in calls["_factorial_quotient"]
+    assert "_ensure_holdable" not in calls["count_forests"]
+    assert "_ensure_holdable" not in calls["hypercycle_class_count"]
 
 
 _FLOAT_MATH = {"sqrt", "log", "lgamma", "pow"}

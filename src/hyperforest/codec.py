@@ -204,19 +204,25 @@ def _reject(value: Any, ensure: Callable[[Any], None]) -> NoReturn:
 def encode_forest(forest: RootedForest) -> ForestCode:
     """Encode a valid forest as its 4-tuple code.
 
-    Repeatedly removes the leaf block with the smallest label, appending the
-    block and its link vertex; after s rounds the last recorded link, always
-    a root, becomes final_root.  A heap keyed by smallest block label keeps
-    each round at O(b + log s): an edge enters the heap exactly once, when
-    the count of its anchor vertices (roots or vertices with more than one
-    incident edge) first drops to one.  That anchor is the edge's link and
-    the rest its block, filed under the block's smallest label, so reading
-    the labels in order lists the blocks in canonical order.
+    Repeatedly prunes the leaf block with the smallest label, recording the
+    block and its link; the last link, a root, becomes final_root.  An
+    anchor is a vertex of incidence above 1: 2 for a root, plus its places
+    in edges, less the rounds it was the link of.  An edge enters a heap
+    keyed by smallest block label at most once, when its anchor count is or
+    drops to one: that anchor is its link and the rest its block, filed by
+    its smallest label so that the blocks read out in canonical order.
 
-    The pruning is the validity check: once the arithmetic below holds, a
-    pruning of all s edges proves the forest valid, as each pruned edge brings
-    b-1 fresh labels and one anchor, so the reversed pruning builds one rooted
-    hypertree per root.  Failures raise with :func:`validate_forest`'s report.
+    Refused, with :func:`validate_forest`'s report: b < 2; no roots, a
+    repeated root or a label below 1; n other than s*(b-1) + k + 1; an edge
+    not of b labels; a label above n, or a heap empty before round s
+    (IndexError).  A pruning of all s edges proves the rest valid: a block
+    vertex has incidence 1 on entry, so is no root and in no other edge not
+    yet pruned, and the blocks are s disjoint sets of b-1 non-root labels,
+    none holding its own link or a later round's.  With the k+1 distinct
+    roots that is n distinct labels in 1..n, all of them, so each link is a
+    root or in a later block.  Read backwards, each round hangs b-1 new
+    labels off a placed vertex: one rooted hypertree per root, no link
+    loses its last anchor, and the last link is a root.
     """
     n, b, edges, roots = forest.n, forest.b, forest.edges, forest.roots
     s, k = len(edges), len(roots) - 1
@@ -236,10 +242,7 @@ def encode_forest(forest: RootedForest) -> ForestCode:
         for _ in range(s):
             i = heappop(heap) % s
             link = link_at[i]
-            left = incidence[link] - 1
-            if left < 1:  # the leaf lost its one anchor
-                _reject(forest, ensure_valid)
-            incidence[link] = left
+            left = incidence[link] = incidence[link] - 1
             record_link(link)
             live_edge_sum[link] -= i
             if left == 1:
@@ -259,11 +262,7 @@ def encode_forest(forest: RootedForest) -> ForestCode:
         _reject(forest, ensure_valid)
 
     shape = ForestShape(b=b, s=s, k=k)
-    if s == 0:
-        return ForestCode(shape, roots, None, (), ())
-    final_root = links.pop()
-    if incidence[final_root] < 2:  # roots end at 2, every other vertex below
-        _reject(forest, ensure_valid)
+    final_root = links.pop() if s else None
     blocks = tuple(filter(None, block_at))
     return ForestCode(shape, roots, final_root, blocks, tuple(links))
 

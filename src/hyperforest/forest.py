@@ -296,9 +296,9 @@ def _leaf_scan(n: int, edges: tuple[Hyperedge, ...], roots: tuple[VertexId, ...]
     the count of anchors, and the link of a one-anchor edge (a leaf), its one
     anchor.  Per label: the block of the leaf whose smallest block label it
     is, the leaf's key.  And the leaves as key * s + edge id.  Roots start at
-    incidence 2, so they never fall below 2 while the pruning takes edges
-    away, and an anchor (a root, or a vertex in several edges) is just a
-    vertex of incidence above 1.  A label above n raises IndexError.
+    incidence 2 and lose one per pruned edge of theirs at most, so never fall
+    below 2 or join a block: encode_forest's last link is a root unchecked.
+    An anchor has incidence above 1.  A label above n raises IndexError.
     """
     s = len(edges)
     incidence = [0] * (n + 1)

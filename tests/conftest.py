@@ -85,16 +85,22 @@ def refusal_of(call: str) -> tuple[int, str, str]:
     return done.returncode, done.stdout, done.stderr
 
 
-def small_hypergraphs():
+def small_hypergraphs(spill: int = 0):
     """Every hypergraph with b in {2, 3}, n <= 5, s <= 3 distinct edges and
-    at most 3 distinct roots, as a RootedForest (10,103 of them, 917 valid)."""
+    at most 3 distinct roots, as a RootedForest (10,103 of them, 917 valid).
+
+    spill=1 widens the labels to 0..n+1, the range small_codes uses: the
+    roots' always, the edges' where n + b <= 6, which keeps the sweep to a
+    few seconds (57,437 of them, 917 valid)."""
     for b in (2, 3):
         for n in range(1, 6):
-            candidates = list(itertools.combinations(range(1, n + 1), b))
+            labels = range(1 - spill, n + 1 + spill)
+            edge_labels = labels if n + b <= 6 else range(1, n + 1)
+            candidates = list(itertools.combinations(edge_labels, b))
             for s in range(0, 4):
                 for edges in itertools.combinations(candidates, s):
                     for size in range(0, 4):
-                        for roots in itertools.combinations(range(1, n + 1), size):
+                        for roots in itertools.combinations(labels, size):
                             yield RootedForest(n=n, b=b, edges=edges, roots=roots)
 
 

@@ -761,8 +761,8 @@ class TestIds:
         assert json.loads(err)["error"] == "range"
 
 
-# b past what the C-level math functions take: each count ends in an
-# OverflowError, which the CLI reports as a range error
+# b past what the C-level math functions take: the size rule refuses each
+# count before any of them could raise an OverflowError
 TOO_LARGE = "100000000000000000000000000000"
 # s whose n no sieve or label list fits in memory: a MemoryError, reported
 # the same way
@@ -770,6 +770,19 @@ TOO_MANY = "100000000000000000"
 
 
 class TestParametersTooLargeToCompute:
+    # the size rule refuses first wherever it can; an OverflowError or a
+    # MemoryError that a layer raises all the same is worded the same way
+    @pytest.mark.parametrize("error", [OverflowError, MemoryError])
+    def test_a_late_error_is_one_range_line(self, capsys, monkeypatch, error):
+        def count(**params):
+            raise error("from the layer")
+
+        monkeypatch.setattr(cli, "count_forests", count)
+        status, out, err = run_cli(capsys, ["count", "--kind", "forests", "--b", "3",
+                                            "--s", "2", "--k", "0"])
+        assert (status, out) == (2, "")
+        assert err == '{"error":"range","message":"parameters too large to compute"}\n'
+
     @pytest.mark.parametrize(
         "argv",
         [

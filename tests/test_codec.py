@@ -258,38 +258,65 @@ def assert_encode_agrees_with_validate(forest) -> bool:
 
 class TestEncodeChecksItsInput:
     def test_agrees_with_validate_on_every_small_hypergraph(self):
+        # labels just outside 1..n too: input by input, this checks
+        # encode_forest's proof that a pruning of all s edges leaves nothing
+        # it needs to refuse
         checked = valid = 0
-        for forest in small_hypergraphs():
+        for forest in small_hypergraphs(spill=1):
             valid += assert_encode_agrees_with_validate(forest)
             checked += 1
-        assert (checked, valid) == (10103, 917)
+        assert (checked, valid) == (57437, 917)
 
     @settings(max_examples=400, deadline=None)
     @given(malformed_forests())
     def test_agrees_with_validate_on_malformed_forests(self, forest):
         assert_encode_agrees_with_validate(forest)
 
+    # each row pins validate_forest's report, which the agreement check
+    # alone compares only with itself
     @pytest.mark.parametrize(
-        "n,b,edges,roots",
+        "n,b,edges,roots,violations",
         [
-            pytest.param(5, 3, [(1, 2, 3, 4), (4, 5)], (1,), id="mixed-edge-sizes"),
-            pytest.param(3, 2, [(0, 1), (1, 2)], (1,), id="edge-label-0"),
-            pytest.param(3, 2, [(-1, 1), (1, 2)], (1,), id="edge-label-minus-1"),
-            pytest.param(3, 2, [(1, 2), (2, 3)], (0,), id="root-0"),
-            pytest.param(3, 2, [(1, 2), (2, 3)], (-1,), id="root-minus-1"),
-            pytest.param(3, 2, [(1, 2), (2, 4)], (1,), id="edge-label-n-plus-1"),
-            pytest.param(3, 2, [(1, 2), (2, 3)], (4,), id="root-n-plus-1"),
-            pytest.param(3, 3, [(1, 1, 2)], (3,), id="repeated-label-in-edge"),
-            pytest.param(3, 2, [(1, 2)], (1, 1), id="duplicate-roots"),
-            pytest.param(3, 2, [(1, 2)], (1, 2), id="isolated-non-root-vertex"),
+            pytest.param(5, 3, [(1, 2, 3, 4), (4, 5)], (1,),
+                         ("edge [1, 2, 3, 4]: has 4 vertices, expected b=3",
+                          "edge [4, 5]: has 2 vertices, expected b=3"), id="mixed-edge-sizes"),
+            pytest.param(1, 1, [], (1,), ("uniformity b=1 must be at least 2",),
+                         id="edge-size-1"),
+            pytest.param(0, 2, [], (), ("vertex count n=0 must be at least 1",
+                                        "at least one root is required"), id="no-vertices"),
+            pytest.param(3, 2, [(0, 1), (1, 2)], (1,),
+                         ("edge [0, 1]: vertex label outside 1..3",), id="edge-label-0"),
+            pytest.param(3, 2, [(-1, 1), (1, 2)], (1,),
+                         ("edge [-1, 1]: vertex label outside 1..3",), id="edge-label-minus-1"),
+            pytest.param(3, 2, [(1, 2), (2, 3)], (0,), ("root 0 outside 1..3",), id="root-0"),
+            pytest.param(3, 2, [(1, 2), (2, 3)], (-1,), ("root -1 outside 1..3",),
+                         id="root-minus-1"),
+            pytest.param(3, 2, [(1, 2), (2, 4)], (1,),
+                         ("edge [2, 4]: vertex label outside 1..3",), id="edge-label-n-plus-1"),
+            pytest.param(3, 2, [(1, 2), (2, 3)], (4,), ("root 4 outside 1..3",),
+                         id="root-n-plus-1"),
+            pytest.param(3, 3, [(1, 1, 2)], (3,), ("edge [1, 1, 2]: repeated vertex label",),
+                         id="repeated-label-in-edge"),
+            pytest.param(3, 2, [(1, 2)], (1, 1), ("repeated root 1",), id="duplicate-roots"),
+            pytest.param(3, 2, [(1, 2)], (1, 2),
+                         ("component containing vertex 1 has 2 roots, expected exactly 1",
+                          "component containing vertex 3 has 0 roots, expected exactly 1"),
+                         id="isolated-non-root-vertex"),
+            # a rootless tree beside a two-root tree: once the leaves (1, 2)
+            # and (1, 3) are pruned the heap is empty with two edges left,
+            # and the empty heap refuses the forest (the id names the guard
+            # that refused it before the pruning alone did)
             pytest.param(
                 6, 2, [(1, 2), (1, 3), (4, 6), (5, 6)], (4, 5),
+                ("component containing vertex 1 has 0 roots, expected exactly 1",
+                 "component containing vertex 4 has 2 roots, expected exactly 1"),
                 id="leaf-loses-its-anchor",
             ),
         ],
     )
-    def test_named_malformed_forest(self, n, b, edges, roots):
+    def test_named_malformed_forest(self, n, b, edges, roots, violations):
         forest = RootedForest(n=n, b=b, edges=edges, roots=roots)
+        assert validate_forest(forest).violations == violations
         assert not assert_encode_agrees_with_validate(forest)
 
 
@@ -308,6 +335,9 @@ def assert_decode_agrees_with_validate(code) -> bool:
             call(code)
         assert str(info.value) == "invalid code: " + "; ".join(report.violations)
     return False
+
+
+UNCOVERED = "blocks do not cover every non-root label exactly once"
 
 
 def _named_code(b=3, s=2, k=1, roots=(5, 6), final_root=5,
@@ -332,45 +362,72 @@ class TestDecodeChecksItsInput:
     def test_agrees_with_validate_on_malformed_codes(self, code):
         assert_decode_agrees_with_validate(code)
 
+    # each row pins validate_code's report, which the agreement check
+    # alone compares only with itself
     @pytest.mark.parametrize(
-        "changes",
+        "changes,violations",
         [
-            pytest.param({"roots": (0, 6), "final_root": 6}, id="root-0"),
-            pytest.param({"roots": (-1, 6), "final_root": 6}, id="root-minus-1"),
-            pytest.param({"roots": (5, 7)}, id="root-n-plus-1"),
+            pytest.param({"roots": (0, 6), "final_root": 6},
+                         ("root 0 outside 1..6", UNCOVERED), id="root-0"),
+            pytest.param({"roots": (-1, 6), "final_root": 6},
+                         ("root -1 outside 1..6", UNCOVERED), id="root-minus-1"),
+            pytest.param({"roots": (5, 7)}, ("root 7 outside 1..6", UNCOVERED),
+                         id="root-n-plus-1"),
             pytest.param(
                 {"s": 0, "k": 1, "roots": (1, 3), "final_root": None, "blocks": (),
                  "links": ()},
+                ("root 3 outside 1..2", UNCOVERED),
                 id="root-n-plus-1-without-edges",
             ),
-            pytest.param({"blocks": ((0, 2), (3, 4))}, id="block-label-0"),
-            pytest.param({"blocks": ((-1, 2), (3, 4))}, id="block-label-minus-1"),
-            pytest.param({"blocks": ((1, 2), (3, 7))}, id="block-label-n-plus-1"),
-            pytest.param({"links": (0,)}, id="link-0"),
-            pytest.param({"links": (-1,)}, id="link-minus-1"),
-            pytest.param({"links": (7,)}, id="link-n-plus-1"),
-            pytest.param({"blocks": ((1, 2), (2, 3))}, id="label-in-two-blocks"),
-            pytest.param({"blocks": ((1, 1), (3, 4))}, id="label-twice-in-a-block"),
-            pytest.param({"blocks": ((1, 2), (3, 5))}, id="root-inside-a-block"),
-            pytest.param({"blocks": ((1, 2, 3), (4,))}, id="wrong-block-size"),
-            pytest.param({"blocks": ((1, 2),)}, id="one-block-too-few"),
-            pytest.param({"blocks": ((1, 2), (3, 4), (7, 8))}, id="one-block-too-many"),
-            pytest.param({"links": ()}, id="one-link-too-few"),
-            pytest.param({"links": (3, 3)}, id="one-link-too-many"),
-            pytest.param({"final_root": 1}, id="final-root-not-a-root"),
-            pytest.param({"final_root": None}, id="final-root-missing"),
-            pytest.param({"roots": (5, 5), "final_root": 5}, id="duplicate-roots"),
-            pytest.param({"roots": (5, 5, 6)}, id="one-root-too-many"),
-            pytest.param({"roots": (5,)}, id="one-root-too-few"),
+            pytest.param({"blocks": ((0, 2), (3, 4))},
+                         ("block label 0 outside 1..6", UNCOVERED), id="block-label-0"),
+            pytest.param({"blocks": ((-1, 2), (3, 4))},
+                         ("block label -1 outside 1..6", UNCOVERED), id="block-label-minus-1"),
+            pytest.param({"blocks": ((1, 2), (3, 7))},
+                         ("block label 7 outside 1..6", UNCOVERED), id="block-label-n-plus-1"),
+            pytest.param({"links": (0,)}, ("link 0 outside 1..6",), id="link-0"),
+            pytest.param({"links": (-1,)}, ("link -1 outside 1..6",), id="link-minus-1"),
+            pytest.param({"links": (7,)}, ("link 7 outside 1..6",), id="link-n-plus-1"),
+            pytest.param({"blocks": ((1, 2), (2, 3))}, ("blocks are not disjoint",),
+                         id="label-in-two-blocks"),
+            pytest.param({"blocks": ((1, 1), (3, 4))}, ("blocks are not disjoint",),
+                         id="label-twice-in-a-block"),
+            pytest.param({"blocks": ((1, 2), (3, 5))},
+                         ("a root label appears inside a block",), id="root-inside-a-block"),
+            pytest.param({"blocks": ((1, 2, 3), (4,))},
+                         ("block [1, 2, 3]: has 3 labels, expected 2",
+                          "block [4]: has 1 labels, expected 2"), id="wrong-block-size"),
+            pytest.param({"blocks": ((1, 2),)}, ("expected 2 blocks, found 1", UNCOVERED),
+                         id="one-block-too-few"),
+            pytest.param({"blocks": ((1, 2), (3, 4), (7, 8))},
+                         ("expected 2 blocks, found 3", "block label 7 outside 1..6",
+                          "block label 8 outside 1..6"), id="one-block-too-many"),
+            pytest.param({"links": ()}, ("expected 1 links, found 0",), id="one-link-too-few"),
+            pytest.param({"links": (3, 3)}, ("expected 1 links, found 2",),
+                         id="one-link-too-many"),
+            pytest.param({"final_root": 1}, ("final root 1 is not a root",),
+                         id="final-root-not-a-root"),
+            pytest.param({"final_root": None}, ("final root is required when s>=1",),
+                         id="final-root-missing"),
+            pytest.param({"roots": (5, 5), "final_root": 5},
+                         ("repeated root label", UNCOVERED), id="duplicate-roots"),
+            pytest.param({"roots": (5, 5, 6)},
+                         ("expected 2 roots, found 3", "repeated root label"),
+                         id="one-root-too-many"),
+            pytest.param({"roots": (5,)}, ("expected 2 roots, found 1", UNCOVERED),
+                         id="one-root-too-few"),
             pytest.param(
                 {"s": 0, "k": 1, "roots": (1, 2), "final_root": 0, "blocks": (),
                  "links": ()},
+                ("final root must be absent when s=0",),
                 id="final-root-0-without-edges",
             ),
         ],
     )
-    def test_named_malformed_code(self, changes):
-        assert not assert_decode_agrees_with_validate(_named_code(**changes))
+    def test_named_malformed_code(self, changes, violations):
+        code = _named_code(**changes)
+        assert validate_code(code).violations == violations
+        assert not assert_decode_agrees_with_validate(code)
 
     @pytest.mark.parametrize("call", [decode_code, rank_code], ids=lambda f: f.__name__)
     def test_memory_follows_the_document_not_the_declared_size(self, call):

@@ -7,6 +7,7 @@ separately implemented formulas must satisfy on a grid.
 """
 
 import os
+import sys
 import time
 from fractions import Fraction
 from functools import partial
@@ -378,6 +379,53 @@ def _fake_memory(monkeypatch, size):
     """Make the shared size rule read size bytes of physical memory."""
     pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": size}
     monkeypatch.setattr(errors, "os", SimpleNamespace(sysconf=pages.__getitem__))
+
+
+def _raises(error):
+    def sysconf(name):
+        raise error
+    return sysconf
+
+
+class TestSizeRule:
+    """errors._ensure_fits passes a size equal to its limit and refuses one
+    byte more: physical memory where sysconf reports it, else sys.maxsize."""
+
+    MEMORY = 10**6
+
+    def test_memory_is_the_limit(self, monkeypatch):
+        _fake_memory(monkeypatch, self.MEMORY)
+        errors._ensure_fits(self.MEMORY)
+        with pytest.raises(ParameterRangeError) as info:
+            errors._ensure_fits(self.MEMORY + 1)
+        assert str(info.value) == "parameters too large to compute"
+
+    def test_sieve_asks_for_its_bytes_and_prime_slots(self, monkeypatch):
+        # n bytes of sieve and an 8-byte slot for each of n // log2(n) primes
+        n = 10**4
+        need = n + 8 * (n // n.bit_length())
+        _fake_memory(monkeypatch, need)
+        assert counting._primes_upto(n)[-1] == 9973
+        _fake_memory(monkeypatch, need - 1)
+        with pytest.raises(ParameterRangeError):
+            counting._primes_upto(n)
+
+    # no sysconf at all, a name it does not know, and a failed call
+    @pytest.mark.parametrize(
+        "fake",
+        [
+            SimpleNamespace(),
+            SimpleNamespace(sysconf=_raises(ValueError("unknown name"))),
+            SimpleNamespace(sysconf=_raises(OSError("sysconf failed"))),
+        ],
+        ids=["AttributeError", "ValueError", "OSError"],
+    )
+    def test_maxsize_is_the_limit_without_sysconf(self, monkeypatch, fake):
+        monkeypatch.setattr(errors, "os", fake)
+        errors._ensure_fits(sys.maxsize)
+        with pytest.raises(ParameterRangeError) as info:
+            errors._ensure_fits(sys.maxsize + 1)
+        assert str(info.value) == "parameters too large to compute"
 
 
 def hypercycle_fraction(b, s, form):

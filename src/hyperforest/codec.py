@@ -60,25 +60,6 @@ def check_shape(b: int, s: int, k: int = 0, min_s: int = 0) -> None:
         raise ParameterRangeError(f"tree parameter k={_words(k)} must be at least 0")
 
 
-def product_levels(factors: list[int]) -> list[list[int]]:
-    """Levels of a balanced product tree over non-empty factors, leaves first.
-
-    Each level multiplies neighbouring pairs of the one below, an odd last
-    entry moving up as it is; the last level is [product].  Each big product
-    then meets an operand of its own size, where a running product is
-    quadratic (Bernstein, "Fast multiplication and its applications", 2008).
-    Shared by the ranking numeral and the exact counts.
-    """
-    levels = [factors]
-    while len(factors) > 1:
-        pairs = [x * y for x, y in zip(factors[::2], factors[1::2])]
-        if len(factors) % 2:
-            pairs.append(factors[-1])
-        factors = pairs
-        levels.append(factors)
-    return levels
-
-
 @dataclass(frozen=True)
 class ForestShape:
     """Shape parameters of a forest: edge size b, edge count s, k+1 trees.

@@ -3,12 +3,11 @@
 Every function works in exact integer arithmetic; no floating point is
 used anywhere in this module.  The forest and hypertree counts are products
 of factorials and powers of n, so they are computed from the exponent of
-each prime p <= n, all primes' at once as maps over the list of primes,
-squaring over the exponents' bits and multiplying in a balanced product tree
-of the primes at each bit; a negative exponent fails their integrality
-assertion.  Both hypercycle forms are one prefactor from
-the same prime exponents, times an integer numerator, divided once by 2s;
-the count per cycle length is its factorials' quotient from the same prime
+each prime p <= n, all primes' at once as maps over the list of primes, and
+multiplied out by _bigint's power product; a negative exponent fails their
+integrality assertion.  Both hypercycle forms are one prefactor from the
+same prime exponents, times an integer numerator, divided once by 2s; the
+count per cycle length is its factorials' quotient from the same prime
 exponents, times j*(b-1), halved.  A remainder fails the same assertion.
 A count, or a sieve, that memory could not hold is refused before any work
 starts.  fractions.Fraction appears only in a failed division's message and
@@ -40,10 +39,11 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import compress, repeat
 from math import factorial, isqrt
-from operator import add, and_, floordiv, lt, mod, mul, not_, rshift
+from operator import add, floordiv, lt, mod, mul, not_
 from typing import Literal, NamedTuple
 
-from .codec import ForestShape, check_shape, product_levels
+from ._bigint import _power_product
+from .codec import ForestShape, check_shape
 from .errors import InvariantViolation, ParameterRangeError, _ensure_fits, _words
 
 HypercycleForm = Literal["closed", "sum"]
@@ -93,14 +93,9 @@ def _factorial_quotient(
     For n >= 2 and every m <= n, so only primes p <= n occur.  Each prime's
     exponent sums Legendre's formula over the factorials, m // p for every
     prime p <= m at once and then m // p^t for t >= 2, looped only over the
-    p <= isqrt(m), and power times its exponent in n.  The product of the
-    p^e is built by squaring over the exponents' bits, top bit first: square
-    the result, then multiply in the product tree of the primes whose
-    exponent has that bit set (Borwein, J. Algorithms 6, 1985), with no
-    fraction or gcd.  Most exponents are small, so each bit's primes are
-    picked from those whose exponents reach it.  A negative exponent means
-    the quotient is not an integer, which the counts' proofs rule out, so
-    the smallest such prime's raises InvariantViolation.
+    p <= isqrt(m), and power times its exponent in n.  The smallest prime
+    with a negative exponent, a quotient the counts' proofs rule out, raises
+    InvariantViolation before _bigint._power_product multiplies the p^e.
     """
     # refused before the sieve: n^power >= 2^((L-1)*power), L = n's bits
     _ensure_holdable(power * (n.bit_length() - 1), factorials)
@@ -121,18 +116,7 @@ def _factorial_quotient(
             exponents[i] += power
     for p, e in compress(zip(primes, exponents), map(lt, exponents, repeat(0))):
         raise InvariantViolation(f"{what} is not an integer: prime {p} has exponent {e}")
-    layers = []
-    while exponents:
-        layers.append(list(compress(primes, map(and_, exponents, repeat(1)))))
-        exponents = list(map(rshift, exponents, repeat(1)))
-        primes = list(compress(primes, exponents))
-        exponents = list(filter(None, exponents))
-    result = 1
-    for chosen in reversed(layers):
-        result *= result
-        if chosen:
-            result *= product_levels(chosen)[-1][0]
-    return result
+    return _power_product(primes, exponents)
 
 
 def count_forests(b: int, s: int, k: int) -> int:

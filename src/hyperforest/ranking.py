@@ -47,7 +47,8 @@ from itertools import islice, product, repeat
 from math import comb, isqrt
 from operator import add, floordiv, le, mul, sub
 
-from .codec import ForestCode, ForestShape, _replay, ensure_valid_code, product_levels
+from ._bigint import _combine, _split, product_levels
+from .codec import ForestCode, ForestShape, _replay, ensure_valid_code
 from .errors import ParameterRangeError, _ensure_fits, _words
 from .forest import RootedForest
 
@@ -170,13 +171,7 @@ def code_space_size(shape: ForestShape) -> int:
 
 
 def unrank_code(index: int, shape: ForestShape) -> ForestCode:
-    """The index-th code of the shape in canonical order.
-
-    The index is split top-down over the radices' product tree: a node's
-    value divided by the product of its right subtree's radices gives the
-    left child's value as quotient and the right child's as remainder, so
-    every division meets a divisor about half its dividend's size.
-    """
+    """The index-th code of the shape in canonical order (_bigint._split)."""
     _ensure_fits(8 * shape.n)  # a list of the n labels: 8-byte slots
     return _unrank(index, shape, _levels(shape))
 
@@ -188,14 +183,7 @@ def _unrank(index: int, shape: ForestShape, levels: list[list[int]]) -> ForestCo
             f"index {_words(index)} outside 0..{_words(levels[-1][0] - 1)} for shape "
             f"(b={shape.b}, s={shape.s}, k={shape.k})"
         )
-    digits = [index]
-    for level in reversed(levels[:-1]):
-        split = []
-        for value, right in zip(digits, level[1::2]):
-            split += divmod(value, right) if value else (0, 0)
-        if len(level) % 2:
-            split.append(digits[-1])
-        digits = split
+    digits = _split(index, levels)
     b, s, k, n = shape.b, shape.s, shape.k, shape.n
     roots = tuple(column[0] + 1 for column in _unrank_columns(digits[:1], [n], k + 1))
     root_set = set(roots)
@@ -212,12 +200,7 @@ def _unrank(index: int, shape: ForestShape, levels: list[list[int]]) -> ForestCo
 
 
 def rank_code(code: ForestCode) -> int:
-    """Canonical-order index of a valid code; inverse of unrank_code.
-
-    The digits are combined bottom-up over the radices' product tree: a
-    node's value is its left child's times the right subtree's product plus
-    its right child's, so every multiplication meets operands of one size.
-    """
+    """Canonical-order index of a valid code (_bigint._combine); inverse of unrank_code."""
     ensure_valid_code(code)
     shape = code.shape
     b, s, k, n = shape.b, shape.s, shape.k, shape.n
@@ -235,15 +218,7 @@ def rank_code(code: ForestCode) -> int:
     columns = [list(map(sub, column, range(1, s + 1))) for column in zip(*found)]
     digits += _rank_columns(columns, _block_pools(b, s), b - 2)
     digits += [v - 1 for v in code.links]
-    for level in _levels(shape)[:-1]:
-        combined = [
-            high * right + low
-            for high, low, right in zip(digits[::2], digits[1::2], level[1::2])
-        ]
-        if len(level) % 2:
-            combined.append(digits[-1])
-        digits = combined
-    return digits[0]
+    return _combine(digits, _levels(shape))
 
 
 def _rng(seed: int) -> random.Random:

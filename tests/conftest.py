@@ -71,14 +71,14 @@ def run_capped(*argv: str) -> subprocess.CompletedProcess:
                           timeout=10, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
 
 
-def refusal_of(call: str) -> tuple[int, str, str]:
+def refusal_of(call: str, error: str = "ParameterRangeError") -> tuple[int, str, str]:
     """Exit status, stdout and stderr of a fresh capped process that makes
-    the library call and prints the ParameterRangeError it raises."""
+    the library call and prints the error it raises of the named class."""
     script = (
         "import hyperforest as h\n"
         "try:\n"
         f"    h.{call}\n"
-        "except h.ParameterRangeError as error:\n"
+        f"except h.{error} as error:\n"
         "    print(error)\n"
     )
     done = run_capped("-c", script)

@@ -912,6 +912,72 @@ class TestCodeShapePastTheDecimalLimit:
         assert err == '{"error":"invalid-structure","message":"' + message + '"}\n'
 
 
+def _decimal(value: int) -> str:
+    """The decimal text of an int of any size: the interpreter's digit limit
+    is lifted for this one str() call and then restored."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _cli_output(*argv: str) -> str:
+    """What a fresh CLI process prints, once it has exited 0 with no error line."""
+    done = run_capped("-m", "hyperforest.cli", *argv)
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout
+
+
+# str() and int() stop at 4300 digits: each call below ends in a ValueError
+# traceback with exit 1, or for --index in a usage error that echoes the digits
+PAST_4300_DIGITS = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 3: the CLI's decimal text stops at 4300 digits"
+)
+BIG_SHAPE = ForestShape(b=3, s=2000, k=2)  # 13,548-digit code space
+
+
+class TestValuesPastTheDigitLimit:
+    """The README contract at any size: exit 0, and each printed decimal is
+    the exact value."""
+
+    @PAST_4300_DIGITS
+    def test_forest_count(self):
+        out = _cli_output("count", "--kind", "forests", "--b", "3", "--s", "2000", "--k", "0")
+        assert json.loads(out)["count"] == _decimal(hyperforest.count_forests(3, 2000, 0))
+
+    @PAST_4300_DIGITS
+    def test_hypercycle_count(self):
+        out = _cli_output("count", "--kind", "hypercycles", "--b", "3", "--s", "2000")
+        assert json.loads(out)["count"] == _decimal(hyperforest.count_hypercycles(3, 2000))
+
+    @PAST_4300_DIGITS
+    def test_audit(self):
+        *lines, summary = map(json.loads, _cli_output("audit", "--b", "3", "--s", "1000").splitlines())
+        report = hyperforest.audit_hypercycles(3, 1000)
+        assert [(line["j"], line["count"]) for line in lines] == [
+            (j, _decimal(value)) for j, value in report.count_by_cycle_length
+        ]
+        for key in ("closed_form_count", "cycle_length_total", "set_count", "multiset_count"):
+            value = getattr(report, key)
+            assert summary["summary"][key] == (None if value is None else _decimal(value))
+
+    @PAST_4300_DIGITS
+    def test_rank(self, tmp_path):
+        index = hyperforest.code_space_size(BIG_SHAPE) * 2 // 3
+        doc = cli.code_to_document(hyperforest.unrank_code(index, BIG_SHAPE))
+        out = _cli_output("rank", "-i", write_doc(tmp_path, "code.json", doc))
+        assert json.loads(out)["index"] == _decimal(index)
+
+    @PAST_4300_DIGITS
+    def test_unrank(self):
+        index = 7 * (10**5000 - 1) // 9  # 5,000 sevens
+        out = _cli_output("unrank", "--index", _decimal(index), "--b", "3", "--s", "2000", "--k", "2")
+        doc = cli.code_to_document(hyperforest.unrank_code(index, BIG_SHAPE))
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+
 class TestUsageAndErrors:
     def test_no_arguments(self, capsys):
         status, _, err = run_cli(capsys, [])
@@ -989,7 +1055,7 @@ class TestUsageAndErrors:
 
 
 # one call per way out of main: success, each error code of cli._ERRORS,
-# --help, and an exception outside _ERRORS (str() past 4300 digits)
+# --help, and an exception outside _ERRORS (from a count patched to raise)
 EXITS = {
     "success": (["count", "--kind", "forests", "--b", "3", "--s", "2", "--k", "0"], 0, None),
     "usage": (["fold"], 2, "usage"),
@@ -999,8 +1065,12 @@ EXITS = {
     "range": (["count", "--kind", "forests", "--b", "1", "--s", "2", "--k", "0"], 2, "range"),
     "io": (["encode", "-i", "{dir}/absent.json"], 2, "io"),
     "help": (["--help"], 0, None),
-    "uncaught": (["count", "--kind", "forests", "--b", "3", "--s", "2000", "--k", "0"], None, None),
+    "uncaught": (["count", "--kind", "forests", "--b", "3", "--s", "2", "--k", "0"], None, None),
 }
+
+
+def _raise_value_error(**params):
+    raise ValueError("outside cli._ERRORS")
 
 
 class TestCollectorState:
@@ -1014,7 +1084,7 @@ class TestCollectorState:
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
     @pytest.mark.parametrize("exit_name", list(EXITS))
-    def test_state_is_restored(self, capsys, tmp_path, exit_name, enabled):
+    def test_state_is_restored(self, capsys, monkeypatch, tmp_path, exit_name, enabled):
         argv, status, code = EXITS[exit_name]
         (tmp_path / "not-json.json").write_text("{", encoding="utf-8")
         write_doc(tmp_path, "cycle.json", {"n": 3, "b": 2, "edges": [[1, 2], [2, 3], [1, 3]],
@@ -1024,7 +1094,8 @@ class TestCollectorState:
         (gc.enable if enabled else gc.disable)()
         try:
             if status is None:
-                with pytest.raises(ValueError):
+                monkeypatch.setattr(cli, "count_forests", _raise_value_error)
+                with pytest.raises(ValueError, match="^outside cli._ERRORS$"):
                     main(argv)
             else:
                 assert main(argv) == status

@@ -146,11 +146,39 @@ def test_ranking_does_not_use_the_counting_formulas():
 
 def test_counting_does_not_use_the_code_radices():
     """The other direction of the guard above.  Both routes take their
-    products from codec.product_levels, which is arithmetic only."""
+    products from the _bigint module, which is arithmetic only."""
     path = Path(hyperforest.__file__).parent / "counting.py"
     names = _imported_names(ast.parse(path.read_text(encoding="utf-8")))
     assert "codec" in names
     assert "ranking" not in names
+
+
+def test_big_integer_arithmetic_has_one_home():
+    """The product tree, the numeral's split and combine, and the power
+    product are defined in _bigint alone, which imports nothing from the
+    package; ranking and counting import them from there."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    moved = {"product_levels", "_split", "_combine", "_power_product"}
+    homes = {
+        (name, node.name) for name, tree in trees.items()
+        for node in ast.walk(tree) if isinstance(node, ast.FunctionDef) and node.name in moved
+    }
+    assert homes == {("_bigint.py", name) for name in moved}
+    for node in ast.walk(trees["_bigint.py"]):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            assert not getattr(node, "level", 0) and "hyperforest" not in _imported_names(node)
+    imported = {
+        name: {
+            alias.name for node in ast.walk(trees[name])
+            if isinstance(node, ast.ImportFrom) and node.level and node.module == "_bigint"
+            for alias in node.names
+        }
+        for name in ("ranking.py", "counting.py")
+    }
+    assert imported == {
+        "ranking.py": {"product_levels", "_split", "_combine"},
+        "counting.py": {"_power_product"},
+    }
 
 
 def test_no_json_output_is_indented_by_the_json_module():
@@ -407,8 +435,9 @@ def _float_uses(tree: ast.AST) -> list[int]:
 
 
 def test_ranking_and_counting_use_no_floats():
-    """Counts, ranks and the combination closed forms are exact integers at
-    any size; a float would round them past 2^53."""
-    for name in ("ranking.py", "counting.py"):
+    """Counts, ranks and the combination closed forms, and the products
+    under them, are exact integers at any size; a float would round them
+    past 2^53."""
+    for name in ("ranking.py", "counting.py", "_bigint.py"):
         path = Path(hyperforest.__file__).parent / name
         assert _float_uses(ast.parse(path.read_text(encoding="utf-8"))) == [], name

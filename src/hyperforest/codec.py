@@ -19,18 +19,19 @@ not-yet-consumed part of the link sequence (the entry being consumed
 counts as not yet consumed), joins it with the current link to form a
 hyperedge, and finally closes the last block with final_root.
 
-Both directions run in O((n + s) log s) time using a heap of ready blocks,
-and the pair of maps is a bijection between valid forests and valid codes
-of the same shape.  Neither runs a separate validation pass: once a few
-counts fit n = s*(b-1) + k + 1, the pass doing the work proves its input
-valid, and a refusal raises with the validate function's report.
+Both directions run in linear time, O(n): the ready blocks (or leaves) are
+bytes of a bytearray indexed by smallest label, read by a scan pointer that
+only moves up, as in the classical linear Prufer decoder.  The pair of maps
+is a bijection between valid forests and valid codes of the same shape.
+Neither runs a separate validation pass: once a few counts fit
+n = s*(b-1) + k + 1, the pass doing the work proves its input valid, and a
+refusal raises with the validate function's report.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from typing import Any, Callable, NoReturn
 
 from .errors import InvalidStructureError, InvariantViolation, ParameterRangeError, _words
@@ -188,22 +189,26 @@ def encode_forest(forest: RootedForest) -> ForestCode:
     Repeatedly prunes the leaf block with the smallest label, recording the
     block and its link; the last link, a root, becomes final_root.  An
     anchor is a vertex of incidence above 1: 2 for a root, plus its places
-    in edges, less the rounds it was the link of.  An edge enters a heap
-    keyed by smallest block label at most once, when its anchor count is or
-    drops to one: that anchor is its link and the rest its block, filed by
-    its smallest label so that the blocks read out in canonical order.
+    in edges, less the rounds it was the link of.  An edge becomes a leaf at
+    most once, when its anchor count is or drops to one: that anchor is its
+    link and the rest its block, filed under its head, its smallest label,
+    so that the blocks read out in canonical order.  A leaf is ready when
+    its head's byte is set; the scan pointer ``head`` only moves up, and a
+    new leaf whose head lies below it is the smallest ready one, so it is
+    pruned at once and never marked.
 
     Refused, with :func:`validate_forest`'s report: b < 2; no roots, a
     repeated root or a label below 1; n other than s*(b-1) + k + 1; an edge
-    not of b labels; a label above n, or a heap empty before round s
-    (IndexError).  A pruning of all s edges proves the rest valid: a block
-    vertex has incidence 1 on entry, so is no root and in no other edge not
-    yet pruned, and the blocks are s disjoint sets of b-1 non-root labels,
-    none holding its own link or a later round's.  With the k+1 distinct
-    roots that is n distinct labels in 1..n, all of them, so each link is a
-    root or in a later block.  Read backwards, each round hangs b-1 new
-    labels off a placed vertex: one rooted hypertree per root, no link
-    loses its last anchor, and the last link is a root.
+    not of b labels; a label above n (IndexError); or no ready leaf before
+    round s (find returns -1 while rounds remain).  A pruning of all s
+    edges proves the rest valid: a block vertex has incidence 1 on entry,
+    so is no root and in no other edge not yet pruned, and the blocks are s
+    disjoint sets of b-1 non-root labels, none holding its own link or a
+    later round's.  With the k+1 distinct roots that is n distinct labels
+    in 1..n, all of them, so each link is a root or in a later block.  Read
+    backwards, each round hangs b-1 new labels off a placed vertex: one
+    rooted hypertree per root, no link loses its last anchor, and the last
+    link is a root.
     """
     n, b, edges, roots = forest.n, forest.b, forest.edges, forest.roots
     s, k = len(edges), len(roots) - 1
@@ -218,29 +223,42 @@ def encode_forest(forest: RootedForest) -> ForestCode:
     links: list[VertexId] = []
     record_link = links.append
     try:
-        incidence, live_edge_sum, anchors, link_at, block_at, heap = _leaf_scan(n, edges, roots)
-        heapify(heap)
-        for _ in range(s):
-            i = heappop(heap) % s
-            link = link_at[i]
-            left = incidence[link] = incidence[link] - 1
-            record_link(link)
-            live_edge_sum[link] -= i
-            if left == 1:
-                j = live_edge_sum[link]  # the one live edge left at link
-                anchors[j] -= 1
-                if anchors[j] == 1:
-                    e = edges[j]
-                    for u in e:
-                        if incidence[u] > 1:
-                            break
-                    link_at[j] = u
-                    q = e.index(u)
-                    block = e[:q] + e[q + 1 :]
-                    block_at[block[0]] = block
-                    heappush(heap, block[0] * s + j)
-    except IndexError:  # a label above n, or an empty heap before round s
+        incidence, live_edge_sum, anchors, link_at, block_at, edge_at, ready = _leaf_scan(
+            n, edges, roots
+        )
+    except IndexError:  # a label above n
         _reject(forest, ensure_valid)
+    find = ready.find
+    head = leaf = 0  # leaf 0: scan for the next ready leaf
+    for _ in range(s):
+        if not leaf:
+            head = leaf = find(1, head + 1)
+            if leaf < 0:  # no ready leaf before round s
+                _reject(forest, ensure_valid)
+        i = edge_at[leaf]
+        link = link_at[i]
+        left = incidence[link] = incidence[link] - 1
+        record_link(link)
+        live_edge_sum[link] -= i
+        if left == 1:
+            j = live_edge_sum[link]  # the one live edge left at link
+            anchors[j] -= 1
+            if anchors[j] == 1:
+                e = edges[j]
+                for u in e:
+                    if incidence[u] > 1:
+                        break
+                link_at[j] = u
+                q = e.index(u)
+                block = e[:q] + e[q + 1 :]
+                low = block[0]
+                block_at[low] = block
+                edge_at[low] = j
+                if low < head:
+                    leaf = low
+                    continue
+                ready[low] = 1
+        leaf = 0
 
     shape = ForestShape(b=b, s=s, k=k)
     final_root = links.pop() if s else None
@@ -256,10 +274,8 @@ def decode_code(code: ForestCode) -> RootedForest:
     block of smallest label whose vertices are all absent from the remaining
     links, the current entry included.  Block readiness is tracked by
     counting, per block, how many of its vertices still occur in the
-    unconsumed links; a block enters the ready heap when that count reaches
-    zero.  At least one block is always ready: the u unused blocks are
-    pairwise disjoint, so the u-1 or fewer remaining entries of links can
-    block at most u-1 of them, and final_root, a root, blocks none.
+    unconsumed links; a block is ready when that count reaches zero, and
+    :func:`_replay` proves that one always is.
 
     The checks below fix every count, every label >= 1 and final_root; if
     :func:`_replay` then meets no label above n and none twice, the k+1 roots
@@ -297,9 +313,24 @@ def _replay(
     a label above n, a label placed twice, or a root inside a block.
 
     The blocks may come in any order, and each block's labels in any order:
-    a block's heap key is its smallest label, found by the placement loop,
+    a block's head, its smallest label, is found by the placement loop,
     which visits every label anyway; a min() call per block costs more.
     The caller fixes the counts, every label >= 1 and final_root as a root.
+
+    A ready block has its head's byte set in ``ready``, and ``head`` is a
+    scan pointer that only moves up, so its whole walk is one pass of
+    bytearray.find over n bytes.  Every ready block not yet used lies above
+    the pointer: a step frees at most one block, the one holding the link
+    it consumed, and a freed block whose head lies below the pointer is
+    the smallest ready one, so it is used at once and never marked.  The
+    order is the smallest ready head at every step.
+
+    Once placement passes, the blocks are disjoint and hold no root, so a
+    ready block always exists: of u unused blocks, the u-1 or fewer
+    remaining entries of links, the current one included, can hold labels
+    of at most u-1, and final_root, a root, is in none.  So find never
+    returns -1: it runs after each link's step, and the block it finds
+    last is the one final_root closes.
     """
     if not s:
         return []
@@ -311,10 +342,9 @@ def _replay(
         block_of = [-1] * (n + 1)
         for r in roots:
             block_of[r] = s
-        # heap entries are smallest_label * s + block_id, single-int comparisons
         smallest = [0] * s
         pending = [0] * s
-        heap: list[int] = []
+        ready = bytearray(n + 1)
         for j, blk in enumerate(blocks):
             c = 0
             low = blk[0]
@@ -329,16 +359,16 @@ def _replay(
             smallest[j] = low
             pending[j] = c
             if c == 0:
-                heap.append(low * s + j)
+                ready[low] = 1
     except IndexError:  # a label above n
         return None
-    heapify(heap)
 
     edges: list[Hyperedge] = []
     record_edge = edges.append
-    # final_root's count may drop to -1: harmless, as a root's block_of is s
-    for v in (*links, final_root):
-        j = heappop(heap) % s
+    find = ready.find
+    head = find(1)
+    j = block_of[head]
+    for v in links:
         record_edge(blocks[j] + (v,))
         occurrences[v] -= 1
         if occurrences[v] == 0:
@@ -346,5 +376,12 @@ def _replay(
             if bj < s:
                 pending[bj] -= 1
                 if pending[bj] == 0:
-                    heappush(heap, smallest[bj] * s + bj)
+                    low = smallest[bj]
+                    if low < head:
+                        j = bj
+                        continue
+                    ready[low] = 1
+        head = find(1, head + 1)
+        j = block_of[head]
+    record_edge(blocks[j] + (final_root,))
     return edges

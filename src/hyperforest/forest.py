@@ -294,11 +294,12 @@ def _leaf_scan(n: int, edges: tuple[Hyperedge, ...], roots: tuple[VertexId, ...]
 
     Per vertex: the incidence and the sum of the ids of its edges.  Per edge:
     the count of anchors, and the link of a one-anchor edge (a leaf), its one
-    anchor.  Per label: the block of the leaf whose smallest block label it
-    is, the leaf's key.  And the leaves as key * s + edge id.  Roots start at
-    incidence 2 and lose one per pruned edge of theirs at most, so never fall
-    below 2 or join a block: encode_forest's last link is a root unchecked.
-    An anchor has incidence above 1.  A label above n raises IndexError.
+    anchor.  Per label, indexed by a leaf's head, its smallest block label:
+    the leaf's block, its edge id, and a ready byte set in a bytearray.
+    Roots start at incidence 2 and lose one per pruned edge of theirs at
+    most, so never fall below 2 or join a block: encode_forest's last link
+    is a root unchecked.  An anchor has incidence above 1.  A label above n
+    raises IndexError.
     """
     s = len(edges)
     incidence = [0] * (n + 1)
@@ -313,7 +314,8 @@ def _leaf_scan(n: int, edges: tuple[Hyperedge, ...], roots: tuple[VertexId, ...]
     anchors = [0] * s
     link_at = [0] * s
     block_at: list[Hyperedge | None] = [None] * (n + 1)
-    leaves: list[int] = []
+    edge_at = [0] * (n + 1)
+    ready = bytearray(n + 1)
     for i, e in enumerate(edges):
         c = 0
         for v in e:
@@ -325,9 +327,11 @@ def _leaf_scan(n: int, edges: tuple[Hyperedge, ...], roots: tuple[VertexId, ...]
             link_at[i] = link
             q = e.index(link)
             block = e[:q] + e[q + 1 :]
-            block_at[block[0]] = block
-            leaves.append(block[0] * s + i)
-    return incidence, live_edge_sum, anchors, link_at, block_at, leaves
+            head = block[0]
+            block_at[head] = block
+            edge_at[head] = i
+            ready[head] = 1
+    return incidence, live_edge_sum, anchors, link_at, block_at, edge_at, ready
 
 
 def leaf_blocks(forest: RootedForest) -> list[LeafBlock]:
@@ -336,12 +340,13 @@ def leaf_blocks(forest: RootedForest) -> list[LeafBlock]:
     A hyperedge contributes a leaf block when exactly b-1 of its vertices are
     non-root and incident to no other hyperedge; those b-1 vertices form the
     block and the remaining vertex is the link.  Distinct blocks are disjoint
-    because block members lie in a single edge each.
+    because block members lie in a single edge each, so the leaves read out
+    in label order from the ready bytes of :func:`_leaf_scan`.
     """
     ensure_valid(forest)
-    edges, s = forest.edges, forest.s
-    _, _, _, link_at, block_at, leaves = _leaf_scan(forest.n, edges, forest.roots)
+    edges = forest.edges
+    _, _, _, link_at, block_at, edge_at, ready = _leaf_scan(forest.n, edges, forest.roots)
     return [
-        LeafBlock(block_at[entry // s], link_at[entry % s], edges[entry % s])
-        for entry in sorted(leaves)
+        LeafBlock(block_at[head], link_at[edge_at[head]], edges[edge_at[head]])
+        for head in compress(range(len(ready)), ready)
     ]

@@ -71,15 +71,13 @@ def run_capped(*argv: str) -> subprocess.CompletedProcess:
                           timeout=10, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap))
 
 
-def refusal_of(call: str, error: str = "ParameterRangeError") -> tuple[int, str, str]:
+def refusal_of(call: str | list[str], error: str = "ParameterRangeError") -> tuple[int, str, str]:
     """Exit status, stdout and stderr of a fresh capped process that makes
-    the library call and prints the error it raises of the named class."""
-    script = (
-        "import hyperforest as h\n"
-        "try:\n"
-        f"    h.{call}\n"
-        f"except h.{error} as error:\n"
-        "    print(error)\n"
+    the library call, or each of a list of calls in turn, and prints the
+    error of the named class each one raises, a line apiece."""
+    script = "import hyperforest as h\n" + "".join(
+        f"try:\n    h.{c}\nexcept h.{error} as error:\n    print(error)\n"
+        for c in ([call] if isinstance(call, str) else call)
     )
     done = run_capped("-c", script)
     return done.returncode, done.stdout, done.stderr

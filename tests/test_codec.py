@@ -2,10 +2,13 @@
 and the encode/decode pair on worked examples and exhaustive small sweeps."""
 
 import dataclasses
+import random
 import tracemalloc
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperforest import (
     ForestCode,
@@ -22,6 +25,8 @@ from hyperforest import (
     validate_code,
     validate_forest,
 )
+from hyperforest.codec import _replay
+from hyperforest.ranking import _draw
 from conftest import (
     SWEEP_SHAPES,
     WORKED_BLOCKS,
@@ -242,6 +247,171 @@ class TestRoundTrip:
         assert len(seen) == total
 
 
+def _heap_replay(n, s, roots, final_root, blocks, links):
+    """The replay as a heap of ready blocks keyed by smallest label * s +
+    block id, the O((n + s) log s) form the bitmap scan replaced; the
+    reference for codec._replay, refusing (None) the same inputs."""
+    if not s:
+        return []
+    try:
+        occurrences = [0] * (n + 1)
+        for v in links:
+            occurrences[v] += 1
+        block_of = [-1] * (n + 1)
+        for r in roots:
+            block_of[r] = s
+        smallest = [0] * s
+        pending = [0] * s
+        heap = []
+        for j, blk in enumerate(blocks):
+            c = 0
+            low = blk[0]
+            for v in blk:
+                if block_of[v] != -1:
+                    return None
+                block_of[v] = j
+                if occurrences[v]:
+                    c += 1
+                if v < low:
+                    low = v
+            smallest[j] = low
+            pending[j] = c
+            if c == 0:
+                heap.append(low * s + j)
+    except IndexError:
+        return None
+    heapify(heap)
+    edges = []
+    for v in (*links, final_root):
+        j = heappop(heap) % s
+        edges.append(blocks[j] + (v,))
+        occurrences[v] -= 1
+        if occurrences[v] == 0:
+            bj = block_of[v]
+            if bj < s:
+                pending[bj] -= 1
+                if pending[bj] == 0:
+                    heappush(heap, smallest[bj] * s + bj)
+    return edges
+
+
+def _heap_encode(forest):
+    """encode_forest's pruning as a heap of leaves keyed by smallest block
+    label * s + edge id, the form the bitmap scan replaced, for a forest
+    that passes encode_forest's count checks; the reference code, or None
+    where the heap runs empty before round s."""
+    n, b, edges, roots = forest.n, forest.b, forest.edges, forest.roots
+    s = len(edges)
+    incidence = [0] * (n + 1)
+    live_edge_sum = [0] * (n + 1)
+    for r in roots:
+        incidence[r] = 2
+    for i, e in enumerate(edges):
+        for v in e:
+            incidence[v] += 1
+            live_edge_sum[v] += i
+    anchors = [0] * s
+    link_at = [0] * s
+    block_at = [None] * (n + 1)
+    heap = []
+    for i, e in enumerate(edges):
+        c = 0
+        for v in e:
+            if incidence[v] > 1:
+                c += 1
+                link = v
+        anchors[i] = c
+        if c == 1:
+            link_at[i] = link
+            q = e.index(link)
+            block = e[:q] + e[q + 1 :]
+            block_at[block[0]] = block
+            heap.append(block[0] * s + i)
+    heapify(heap)
+    links = []
+    for _ in range(s):
+        if not heap:
+            return None
+        i = heappop(heap) % s
+        link = link_at[i]
+        left = incidence[link] = incidence[link] - 1
+        links.append(link)
+        live_edge_sum[link] -= i
+        if left == 1:
+            j = live_edge_sum[link]
+            anchors[j] -= 1
+            if anchors[j] == 1:
+                e = edges[j]
+                for u in e:
+                    if incidence[u] > 1:
+                        break
+                link_at[j] = u
+                q = e.index(u)
+                block = e[:q] + e[q + 1 :]
+                block_at[block[0]] = block
+                heappush(heap, block[0] * s + j)
+    final_root = links.pop() if s else None
+    shape = ForestShape(b=b, s=s, k=len(roots) - 1)
+    return ForestCode(shape, roots, final_root, tuple(filter(None, block_at)), tuple(links))
+
+
+def _replays_as_the_heap_did(shape, roots, final_root, blocks, links):
+    """_replay gives the heap reference's edges, in the same order, and
+    encode_forest gives the heap reference's code for their forest, which
+    is the code of the parts.  Returns the edges."""
+    n, s = shape.n, shape.s
+    edges = _replay(n, s, roots, final_root, blocks, links)
+    assert edges == _heap_replay(n, s, roots, final_root, blocks, links)
+    forest = RootedForest(n=n, b=shape.b, edges=edges, roots=roots)
+    code = encode_forest(forest)
+    assert code == _heap_encode(forest)
+    assert code == ForestCode(shape, roots, final_root, blocks, links)
+    return edges
+
+
+@st.composite
+def raw_draws(draw):
+    """A shape and one draw's raw parts from ranking._draw: blocks unsorted
+    and in draw order, as the sampler's stream hands them to _replay."""
+    shape = ForestShape(b=draw(st.integers(2, 6)), s=draw(st.integers(0, 60)),
+                        k=draw(st.integers(0, 5)))
+    return (shape, *_draw(shape, random.Random(draw(st.integers(0, (1 << 64) - 1)))))
+
+
+class TestLinearScanAgainstTheHeap:
+    """The ready-label scan of _replay and encode_forest against the heap
+    forms it replaced, kept here as the reference: same edges in the same
+    replay order, and the same codes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_draws())
+    def test_same_edges_in_the_same_order_and_the_same_codes(self, drawn):
+        _replays_as_the_heap_did(*drawn)
+
+    # (b, s, k) and raw parts, blocks unsorted; edges in replay order
+    @pytest.mark.parametrize(
+        "bsk,roots,final_root,blocks,links,edges",
+        [
+            # blocks 3 and 4 are ready and the scan starts at 3; link 2
+            # frees block 2 below it, and link 1 then frees block 1, each
+            # used at once and never marked; final root 5 closes block 4
+            pytest.param((2, 4, 0), (5,), 5, [(4,), (2,), (3,), (1,)], [2, 1, 5],
+                         [(3, 2), (2, 1), (1, 5), (4, 5)], id="freed-head-below-the-pointer"),
+            # blocks 1 and 2 are ready; links 3 and 4 free blocks above the
+            # pointer, which are marked and reached by the scan in turn
+            pytest.param((2, 4, 0), (5,), 5, [(3,), (1,), (4,), (2,)], [3, 4, 5],
+                         [(1, 3), (2, 4), (3, 5), (4, 5)], id="freed-head-above-the-pointer"),
+            pytest.param((3, 1, 0), (2,), 2, [(3, 1)], [], [(3, 1, 2)], id="one-edge"),
+            # b = 3, k = 3: four roots; link 5 frees the block headed by 3
+            pytest.param((3, 2, 3), (1, 4, 6, 8), 6, [(7, 2), (5, 3)], [5],
+                         [(7, 2, 5), (5, 3, 6)], id="four-roots"),
+        ],
+    )
+    def test_named_replay(self, bsk, roots, final_root, blocks, links, edges):
+        shape = ForestShape(*bsk)
+        assert _replays_as_the_heap_did(shape, roots, final_root, blocks, links) == edges
+
+
 def assert_encode_agrees_with_validate(forest) -> bool:
     """encode_forest refuses exactly the forests validate_forest reports as
     invalid, with the report as its message, and round-trips the rest.
@@ -303,9 +473,10 @@ class TestEncodeChecksItsInput:
                           "component containing vertex 3 has 0 roots, expected exactly 1"),
                          id="isolated-non-root-vertex"),
             # a rootless tree beside a two-root tree: once the leaves (1, 2)
-            # and (1, 3) are pruned the heap is empty with two edges left,
-            # and the empty heap refuses the forest (the id names the guard
-            # that refused it before the pruning alone did)
+            # and (1, 3) are pruned no leaf is ready with two edges left,
+            # and the scan finding none before round s refuses the forest
+            # (the id names the guard that refused it before the pruning
+            # alone did)
             pytest.param(
                 6, 2, [(1, 2), (1, 3), (4, 6), (5, 6)], (4, 5),
                 ("component containing vertex 1 has 0 roots, expected exactly 1",

@@ -301,6 +301,16 @@ def test_validate_forest_counts_and_does_not_group():
     assert not used & {"_components", "component_decomposition"}
 
 
+def test_no_source_keeps_a_heap():
+    """Encode and decode find the smallest ready label by one upward scan
+    of a bytearray; the heap forms live on only as test references."""
+    assert not [
+        path.name
+        for path in SOURCES
+        if "heapq" in _imported_names(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+
+
 def test_only_the_cli_imports_gc():
     """The CLI pauses the cyclic collector around a command; library calls
     leave the collector to their caller."""
